@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover fuzz bench serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
+.PHONY: all build test race flake-sweep cover fuzz bench serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
 
 all: build
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Repeated race pass over the service and run-layer packages, whose tests
+# drive real HTTP servers and goroutines: a test that asserts before a
+# server-side handler has returned, or reads shared state unsynchronized,
+# fails here in its own PR rather than as a later flake.
+flake-sweep:
+	$(GO) test -race -count=20 ./internal/obs ./internal/job/... ./cmd/dcaserve
 
 # Coverage gate: the hot-loop packages must keep internal/core at or above
 # its recorded line coverage (see ci.yml for the canonical threshold).
@@ -88,4 +95,4 @@ vet:
 lint:
 	$(GO) run ./cmd/dcalint ./...
 
-ci: fmt vet lint build race cover fuzz serve-smoke worker-smoke load-smoke trace-smoke probe-smoke
+ci: fmt vet lint build race flake-sweep cover fuzz serve-smoke worker-smoke load-smoke trace-smoke probe-smoke

@@ -15,13 +15,16 @@ SRV="$TMP/dcaserve-tracesmoke"
 TRACE="$TMP/tracesmoke.trace"
 OUT="$TMP/tracesmoke.json"
 
-# One cell: compress/general, 200 warm-up + 1000 measured instructions.
-# The recording covers 2*window + slack, the same margin job.Traced uses
-# for the fetch front end's runahead past the commit window.
+# One cell: compress/general, 200 warm-up + 1000 measured instructions,
+# on the paper's machine. The recording covers exactly the window plus
+# core.FetchAheadBound for that machine (64 in flight + 32 queued + 8
+# retired - 1 = 103), the most the front end can fetch past the commit
+# target, so the dcasim replay below runs on no more stream than the
+# bound promises is enough.
 WARMUP=200
 MEASURE=1000
 WINDOW=1200
-STEPS=6496
+STEPS=1303
 
 go build -o "$SIM" ./cmd/dcasim
 go build -o "$TRC" ./cmd/dcatrace

@@ -187,8 +187,8 @@ func main() {
 	}
 	if tracedRunner != nil {
 		m := tracedRunner.Metrics()
-		fmt.Fprintf(human, "trace layer: %d recorded, %d from store, %d replayed, %d live fallbacks\n",
-			m.Recordings, m.BlobHits, m.Replays, m.LiveFallbacks)
+		fmt.Fprintf(human, "trace layer: %d recorded, %d from store, %d replayed\n",
+			m.Recordings, m.BlobHits, m.Replays)
 	}
 	fmt.Fprintf(human, "total simulation time: %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -18,6 +18,12 @@ import (
 // their fixed arrays with it.
 const MaxClusters = 8
 
+// MaxFetchQueue caps Config.FetchQueue. The fetch queue is allocated once
+// per machine (and copied by every warm-state checkpoint), so an absurd
+// depth must fail validation rather than size a huge ring; the cap is
+// eight times the deepest preset's (ClusteredN(MaxClusters): 128).
+const MaxFetchQueue = 1024
+
 // IQMode selects the issue-queue organization of a cluster.
 type IQMode int
 
@@ -82,6 +88,11 @@ type Config struct {
 	// FrontEndDepth is the fetch-to-dispatch pipeline depth in cycles; it
 	// sets the refill portion of the misprediction penalty.
 	FrontEndDepth int `json:"FrontEndDepth"`
+	// FetchQueue is the depth of the fetch (decode) queue between fetch
+	// and dispatch, in instructions: fetch stops while it is full. The
+	// presets use 4×FetchWidth, which is at least DecodeWidth ×
+	// (FrontEndDepth+1), so the bound alone never starves dispatch.
+	FetchQueue int `json:"FetchQueue"`
 
 	// Clusters holds one entry per cluster (at most MaxClusters). On the
 	// paper's machines index 0 is the integer cluster and index 1 (when
@@ -149,6 +160,12 @@ func (c *Config) Validate() error {
 	if c.MaxInFlight <= 0 {
 		return fmt.Errorf("config %s: MaxInFlight must be positive", c.Name)
 	}
+	// A queue shallower than one fetch group could never accept a full
+	// group; the cap keeps the once-allocated ring small.
+	if c.FetchQueue < c.FetchWidth || c.FetchQueue > MaxFetchQueue {
+		return fmt.Errorf("config %s: FetchQueue %d out of range (want FetchWidth %d..%d)",
+			c.Name, c.FetchQueue, c.FetchWidth, MaxFetchQueue)
+	}
 	for i, cl := range c.Clusters {
 		if cl.IssueWidth <= 0 || cl.IQSize <= 0 || cl.PhysRegs <= 0 {
 			return fmt.Errorf("config %s: cluster %d has non-positive resources", c.Name, i)
@@ -196,7 +213,8 @@ func (c *Config) Validate() error {
 }
 
 // Clustered returns the paper's two-cluster machine (Table 2): 8-wide
-// fetch/decode/retire, 64 in-flight, two clusters with 64-entry queues,
+// fetch/decode/retire, a 32-entry fetch queue, 64 in-flight, two clusters
+// with 64-entry queues,
 // 4-wide issue, 96 physical registers each; cluster 1 has 3 simple ALUs and
 // the integer mul/div, cluster 2 has 3 simple ALUs, 3 FP ALUs and the FP
 // mul/div; 3 buses per direction with 1-cycle copies.
@@ -208,6 +226,7 @@ func Clustered() *Config {
 		RetireWidth:   8,
 		MaxInFlight:   64,
 		FrontEndDepth: 2,
+		FetchQueue:    32,
 		Clusters: []Cluster{
 			{SimpleIntALUs: 3, ComplexIntUnits: 1, IssueWidth: 4, IQSize: 64, PhysRegs: 96, FIFOs: 8, FIFODepth: 8},
 			{SimpleIntALUs: 3, FPALUs: 3, FPMulDivUnits: 1, IssueWidth: 4, IQSize: 64, PhysRegs: 96, FIFOs: 8, FIFODepth: 8},
@@ -351,9 +370,10 @@ func RingDistances(n, hopLatency int) [][]int {
 // paper's conclusions point at: n identical, fully equipped clusters (each
 // the Symmetric cluster: every instruction class can execute anywhere, so
 // steering is fully unconstrained), connected by a single-hop crossbar with
-// 1-cycle copies. The front-end width and in-flight window scale with the
-// cluster count so added clusters receive added supply (4-wide fetch and a
-// 32-entry window share per cluster, matching the paper's 8/64 at n = 2).
+// 1-cycle copies. The front-end width, fetch queue and in-flight window
+// scale with the cluster count so added clusters receive added supply
+// (4-wide fetch, a 16-entry fetch-queue share and a 32-entry window share
+// per cluster, matching the paper's machine at n = 2).
 // Swap CopyDist for RingDistances(n, CopyLatency) to study a ring fabric.
 func ClusteredN(n int) *Config {
 	c := Clustered()
@@ -361,6 +381,7 @@ func ClusteredN(n int) *Config {
 	c.FetchWidth = 4 * n
 	c.DecodeWidth = 4 * n
 	c.RetireWidth = 4 * n
+	c.FetchQueue = 16 * n
 	c.MaxInFlight = 32 * n
 	c.Clusters = make([]Cluster, n)
 	for i := range c.Clusters {

@@ -102,6 +102,53 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+func TestValidateFetchQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		depth func(c *Config) int
+		ok    bool
+	}{
+		{"zero", func(*Config) int { return 0 }, false},
+		{"below fetch width", func(c *Config) int { return c.FetchWidth - 1 }, false},
+		{"fetch width", func(c *Config) int { return c.FetchWidth }, true},
+		{"not a power of two", func(c *Config) int { return c.FetchWidth + 3 }, true},
+		{"cap", func(*Config) int { return MaxFetchQueue }, true},
+		{"above cap", func(*Config) int { return MaxFetchQueue + 1 }, false},
+	} {
+		for _, c := range []*Config{Clustered(), ClusteredN(8)} {
+			c.FetchQueue = tc.depth(c)
+			err := c.Validate()
+			if (err == nil) != tc.ok {
+				t.Errorf("%s: FetchQueue %d (%s): Validate() = %v, want ok=%v", c.Name, c.FetchQueue, tc.name, err, tc.ok)
+			}
+		}
+	}
+}
+
+// TestPresetFetchQueue pins the presets' fetch-queue depth to four fetch
+// groups, and checks it covers a full decode group in every front-end
+// pipeline stage, so the bound alone never starves dispatch.
+func TestPresetFetchQueue(t *testing.T) {
+	presets := []*Config{Clustered(), Base(), UpperBound(), FIFOClustered(), Symmetric()}
+	for n := 1; n <= MaxClusters; n++ {
+		presets = append(presets, ClusteredN(n), ClusteredNRing(n), ClusteredNFIFO(n))
+	}
+	for _, c := range presets {
+		if c.FetchQueue != 4*c.FetchWidth {
+			t.Errorf("%s: FetchQueue %d, want 4 x FetchWidth = %d", c.Name, c.FetchQueue, 4*c.FetchWidth)
+		}
+		if need := c.DecodeWidth * (c.FrontEndDepth + 1); c.FetchQueue < need {
+			t.Errorf("%s: FetchQueue %d < DecodeWidth x (FrontEndDepth+1) = %d", c.Name, c.FetchQueue, need)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", c.Name, err)
+		}
+	}
+	if c := Clustered(); c.FetchQueue != 32 {
+		t.Errorf("paper machine FetchQueue %d, want 32", c.FetchQueue)
+	}
+}
+
 func TestSymmetricClustersAreIdentical(t *testing.T) {
 	c := Symmetric()
 	if c.NumClusters() != 2 {

@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -20,8 +21,20 @@ import (
 // branches, a multiply, and a short FP chain so asymmetric machines
 // steer inter-cluster traffic). The outer count is large enough that the
 // program never halts within any realistic b.N.
-func benchProgram() *prog.Program {
-	b := prog.NewBuilder("bench-loop")
+func benchProgram() *prog.Program { return buildBenchProgram(true) }
+
+// runawayProgram is benchProgram without its unpredictable branch: a
+// perfectly predicted loop whose fetch never waits on a misprediction, so
+// only the fetch queue's bound holds the front end back from a stalled
+// dispatcher.
+func runawayProgram() *prog.Program { return buildBenchProgram(false) }
+
+func buildBenchProgram(unpredictable bool) *prog.Program {
+	name := "bench-loop"
+	if !unpredictable {
+		name = "bench-loop-runaway"
+	}
+	b := prog.NewBuilder(name)
 	b.Space("mem", 8192)
 	b.La(isa.R(20), "mem")
 	for i := 1; i <= 12; i++ {
@@ -74,16 +87,18 @@ func benchProgram() *prog.Program {
 	b.Xor(isa.R(7), isa.R(7), isa.R(2))
 	// Data-dependent branch on an LCG bit: effectively unpredictable, so
 	// fetch periodically blocks on a misprediction the way it does on real
-	// workloads (without this, the perfectly predicted loop lets the
-	// oracle-driven front end run arbitrarily far ahead of dispatch).
-	b.Li(isa.R(15), 1103515245)
-	b.Mul(isa.R(13), isa.R(13), isa.R(15))
-	b.Addi(isa.R(13), isa.R(13), 12345)
-	b.Srai(isa.R(14), isa.R(13), 16)
-	b.Andi(isa.R(14), isa.R(14), 1)
-	b.Beq(isa.R(14), isa.R(0), "skip3")
-	b.Addi(isa.R(6), isa.R(6), 7)
-	b.Label("skip3")
+	// workloads (without this, the perfectly predicted loop keeps the
+	// fetch queue full behind a stalled dispatcher: runawayProgram).
+	if unpredictable {
+		b.Li(isa.R(15), 1103515245)
+		b.Mul(isa.R(13), isa.R(13), isa.R(15))
+		b.Addi(isa.R(13), isa.R(13), 12345)
+		b.Srai(isa.R(14), isa.R(13), 16)
+		b.Andi(isa.R(14), isa.R(14), 1)
+		b.Beq(isa.R(14), isa.R(0), "skip3")
+		b.Addi(isa.R(6), isa.R(6), 7)
+		b.Label("skip3")
+	}
 
 	b.Addi(isa.R(21), isa.R(21), -1)
 	b.Bne(isa.R(21), isa.R(0), "outer")
@@ -123,7 +138,12 @@ func newBenchMachine(tb testing.TB, bc benchCase) *core.Machine {
 // under the same steady-state conditions as the live one.
 func newBenchMachineWithOracle(tb testing.TB, bc benchCase, o core.Oracle) *core.Machine {
 	tb.Helper()
-	p := benchProgram()
+	return newWarmMachine(tb, bc, benchProgram(), o)
+}
+
+// newWarmMachine builds and warms the case's machine over p.
+func newWarmMachine(tb testing.TB, bc benchCase, p *prog.Program, o core.Oracle) *core.Machine {
+	tb.Helper()
 	params := steer.DefaultParams()
 	params.Clusters = bc.cfg.NumClusters()
 	st, err := steer.NewWithParams(bc.scheme, p, params)
@@ -217,6 +237,22 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			}
 		})
 	}
+	// A runaway front end: with no misprediction to stop it, fetch would
+	// outrun the stalled dispatcher without limit if the fetch queue were
+	// not bounded, and an unbounded queue allocates as it grows. The
+	// window is long enough that a doubling ring would grow inside it,
+	// and every allocation in it counts.
+	for _, bc := range []benchCase{
+		{"n2/general", config.Clustered(), "general"},
+		{"n8/general", config.ClusteredN(8), "general"},
+	} {
+		t.Run(bc.name+"/runaway", func(t *testing.T) {
+			m := newWarmMachine(t, bc, runawayProgram(), nil)
+			if n := mallocsOver(t, m, 20_000); n != 0 {
+				t.Fatalf("runaway front end allocated %d times in 20000 cycles (want 0)", n)
+			}
+		})
+	}
 	// The replay front end (internal/trace) must hold the same invariant:
 	// a machine fetching from a recorded trace steps allocation-free too.
 	// One narrow and one wide machine cover both fetch-runahead profiles.
@@ -241,6 +277,24 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mallocsOver steps m for the given number of cycles and returns the
+// heap allocations made meanwhile. Unlike testing.AllocsPerRun, whose
+// per-run average is truncated to an integer, it sees a single
+// allocation anywhere in the window.
+func mallocsOver(t *testing.T, m *core.Machine, cycles int) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		if err := m.StepOneCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkMachineRun measures end-to-end simulation throughput including

@@ -53,6 +53,24 @@ func (c *Checkpoint) Restore() *Machine {
 	return m
 }
 
+// ResumeOracle replaces the machine's oracle with o, positioned where the
+// current oracle stands, and reports whether o could take over (it must be
+// a ResumableOracle able to continue the current stream; otherwise the
+// machine keeps its oracle). A snapshot warmed on a recorded trace holds a
+// cursor over that recording, which reaches only window +
+// FetchAheadBound steps of the window it was recorded for; resuming onto
+// a cursor over a longer recording of the same program lets the restored
+// machine measure a longer window. The stream itself is unchanged, so
+// the result is bit-identical.
+func (m *Machine) ResumeOracle(o Oracle) bool {
+	ro, ok := o.(ResumableOracle)
+	if !ok || !ro.ResumeFrom(m.oracle) {
+		return false
+	}
+	m.oracle = o
+	return true
+}
+
 // Measure restores the snapshot and measures the next measure instructions
 // (0 = until HALT), exactly as Measure on the warmed machine would have.
 func (c *Checkpoint) Measure(measure uint64) (*stats.Run, error) {
@@ -166,6 +184,8 @@ func (m *Machine) clone() (*Machine, bool) {
 	for i, d := range m.rob {
 		c.rob[i] = look(d)
 	}
+	// The fetch queue holds values, not pointers, and is bounded by
+	// FetchQueue: a plain copy of its fixed-size ring.
 	c.decodeQ = make([]fetched, len(m.decodeQ))
 	copy(c.decodeQ, m.decodeQ)
 	c.evtHead = make([]*DynInst, len(m.evtHead))

@@ -36,9 +36,12 @@ func (m *Machine) FastForward() bool { return m.fastForward }
 //
 //dca:hotpath
 func (m *Machine) ffIdle() bool {
-	// Fetch: finished, stalled on an unresolved branch, or stalled until a
-	// future cycle (ffWake clamps the jump to the stall expiry).
-	if !m.fetchDone && !m.waitingBranch && m.cycle >= m.fetchStallUntil {
+	// Fetch: finished, stalled on an unresolved branch, stalled until a
+	// future cycle (ffWake clamps the jump to the stall expiry), or held
+	// back by a full fetch queue. The queue drains only through dispatch,
+	// which the clauses below rule out for the whole window, so a full
+	// queue stays full and needs no wake source of its own.
+	if !m.fetchDone && !m.waitingBranch && m.cycle >= m.fetchStallUntil && m.dqLen < m.cfg.FetchQueue {
 		return false
 	}
 	// Completion: no wheel event due this cycle.

@@ -69,8 +69,10 @@ type Machine struct {
 	robHead int
 	robLen  int
 
-	// decodeQ is the fetched-instruction ring (values, not pointers: a
-	// fetch never allocates). dqHead indexes the oldest undispatched entry.
+	// decodeQ is the fetch queue, a ring of fetched values (not pointers:
+	// a fetch never allocates). It holds at most cfg.FetchQueue entries —
+	// fetch stops while it is full — so it is allocated once, at the next
+	// power of two. dqHead indexes the oldest undispatched entry.
 	decodeQ []fetched
 	dqHead  int
 	dqLen   int
@@ -207,7 +209,7 @@ func NewWithOracle(cfg *config.Config, p *prog.Program, st Steerer, o Oracle) (*
 		rt:          newRenameTable(cfg.NumClusters()),
 		ldst:        newLSQ(cfg.MaxInFlight),
 		rob:         make([]*DynInst, nextPow2(4*cfg.MaxInFlight)),
-		decodeQ:     make([]fetched, nextPow2(4*cfg.FetchWidth)),
+		decodeQ:     make([]fetched, nextPow2(cfg.FetchQueue)),
 		evtHead:     make([]*DynInst, initialWheelSize),
 		evtTail:     make([]*DynInst, initialWheelSize),
 		busUsed:     make([]int, cfg.NumClusters()),
@@ -331,26 +333,15 @@ func (m *Machine) robGrow() {
 	m.robHead = 0
 }
 
-// dqPush returns the slot for a newly fetched instruction.
+// dqPush returns the slot for a newly fetched instruction. The caller
+// has checked that the queue is below cfg.FetchQueue (fetch's
+// back-pressure), so the ring never needs to grow.
 //
 //dca:hotpath
 func (m *Machine) dqPush() *fetched {
-	if m.dqLen == len(m.decodeQ) {
-		m.dqGrow()
-	}
 	fi := &m.decodeQ[(m.dqHead+m.dqLen)&(len(m.decodeQ)-1)]
 	m.dqLen++
 	return fi
-}
-
-// dqGrow doubles the decode-queue ring (amortized, cold).
-func (m *Machine) dqGrow() {
-	grown := make([]fetched, len(m.decodeQ)*2)
-	for i := 0; i < m.dqLen; i++ {
-		grown[i] = m.decodeQ[(m.dqHead+i)&(len(m.decodeQ)-1)]
-	}
-	m.decodeQ = grown
-	m.dqHead = 0
 }
 
 // dqFront returns the oldest undispatched fetched instruction.
@@ -581,6 +572,12 @@ func (m *Machine) fetch() {
 	curLine := uint64(0)
 	haveLine := false
 	for n := 0; n < m.cfg.FetchWidth; n++ {
+		if m.dqLen >= m.cfg.FetchQueue {
+			// Back-pressure: the fetch queue is full, so fetch stalls —
+			// before the I-cache access and before peeking the oracle —
+			// until dispatch drains an entry.
+			return
+		}
 		if m.oracle.Halted() {
 			m.fetchDone = true
 			return

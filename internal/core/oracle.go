@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/config"
 	"repro/internal/emu"
 )
 
@@ -46,12 +47,43 @@ type CloneableOracle interface {
 	CloneOracle() Oracle
 }
 
+// ResumableOracle is implemented by oracles that can take over another
+// oracle's stream where it stands. The trace replayer is resumable: a
+// cursor over a longer recording of the same program continues a shorter
+// recording's cursor, which lets a machine restored from a warm snapshot
+// measure further than the recording it was warmed on reaches (see
+// Machine.ResumeOracle).
+type ResumableOracle interface {
+	Oracle
+	// ResumeFrom positions the receiver where prev stands, so that its
+	// next step is prev's next step. It reports false, leaving the
+	// receiver unchanged, when it cannot continue prev's stream.
+	ResumeFrom(prev Oracle) bool
+}
+
 // ErrOracleExhausted reports that the oracle stream ended before the run
 // did: the program had not halted, yet the oracle had no next
 // instruction. It is a sentinel (not constructed per occurrence) so the
-// fetch stage can raise it without allocating; job.Traced retries the
-// cell on a live oracle when it sees this error.
+// fetch stage can raise it without allocating. A stream of at least
+// target + FetchAheadBound(cfg) steps never raises it.
 var ErrOracleExhausted = errors.New("core: oracle stream exhausted before the program halted")
+
+// FetchAheadBound returns the most oracle steps a machine under cfg takes
+// past its commit target: a run to target committed instructions (Warm,
+// Measure, RunWithWarmup) consumes — and peeks at — no more than the first
+// target + FetchAheadBound(cfg) steps of its stream.
+//
+// Every consumed step is committed, in flight or in the fetch queue. The
+// loop steps while fewer than target instructions have committed, and one
+// cycle commits at most RetireWidth, so at most target-1+RetireWidth are
+// committed; at most MaxInFlight are in flight and FetchQueue queued.
+// Fetch peeks at the next step (Oracle.PC) only with a queue slot free,
+// so a peek needs at most one step past a non-full queue, which the
+// FetchQueue term already covers. TestFetchAheadBound checks the bound on
+// every golden configuration.
+func FetchAheadBound(cfg *config.Config) uint64 {
+	return uint64(cfg.MaxInFlight + cfg.FetchQueue + cfg.RetireWidth - 1)
+}
 
 // EmuOracle adapts a live functional emulator to the Oracle interface.
 // The zero value is unusable; wrap a machine built by emu.New.

@@ -391,6 +391,12 @@ func (m *Machine) probeCycle(n uint64, retired int) {
 // for a whole window and a skipping run attributes exactly like a
 // tick-every-cycle run (TestProbeFastForwardIdentity). Runs only under
 // probeCycle's guard.
+//
+// A full fetch queue has no class of its own: it is a symptom, not a
+// cause. With instructions in flight the head's class names what holds
+// dispatch back (rob-full, lsq-block, or the head's own wait); with an
+// empty window a full queue can only be one whose front is still in the
+// front-end pipeline, which is fetch-stall or mispredict-recovery.
 func (m *Machine) classifyCycle(retired int) StallClass {
 	if retired > 0 {
 		return ClassCommitting

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/prog"
 )
 
@@ -266,35 +267,47 @@ func TestROBRingGrowth(t *testing.T) {
 	}
 }
 
-// TestDecodeRingGrowth exercises dqPush's doubling path the same way.
-func TestDecodeRingGrowth(t *testing.T) {
-	m := wheelMachine(t)
-	capBefore := len(m.decodeQ)
-	for i := 0; i < 3; i++ {
-		fi := m.dqPush()
-		fi.step.Seq = uint64(100 + i)
+// TestFetchQueueBackPressure holds dispatch off and lets fetch run: the
+// queue must stop at exactly cfg.FetchQueue entries without stepping the
+// oracle past them, and the ring, allocated once, must keep FIFO order
+// as it wraps.
+func TestFetchQueueBackPressure(t *testing.T) {
+	b := prog.NewBuilder("straight")
+	for i := 0; i < 400; i++ {
+		b.Addi(isa.R(1), isa.R(1), 1)
 	}
-	m.dqPop() // offset the head
-	n := capBefore + 10
-	for i := 0; i < n; i++ {
-		fi := m.dqPush()
-		fi.step.Seq = uint64(i)
+	b.Halt()
+	cfg := config.Clustered()
+	m, err := New(cfg, b.MustBuild(), NaiveSteerer{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(m.decodeQ) <= capBefore {
-		t.Fatalf("decode ring did not grow: cap %d", len(m.decodeQ))
-	}
-	if m.dqLen != 2+n {
-		t.Fatalf("dqLen %d, want %d", m.dqLen, 2+n)
-	}
-	if m.dqFront().step.Seq != 101 {
-		t.Fatalf("front Seq %d, want 101", m.dqFront().step.Seq)
-	}
-	m.dqPop()
-	m.dqPop()
-	for i := 0; i < n; i++ {
-		if m.dqFront().step.Seq != uint64(i) {
-			t.Fatalf("entry %d has Seq %d", i, m.dqFront().step.Seq)
+	ring := &m.decodeQ[0]
+	fe := m.oracle.(EmuOracle).M
+	popped := uint64(0)
+	for round := 0; round < 5; round++ {
+		// Fill: straight-line code, so only I-cache misses and the queue
+		// bound stop fetch; a few cycles past full must change nothing.
+		for c := 0; c < 200; c++ {
+			m.fetch()
+			m.cycle++
 		}
-		m.dqPop()
+		if m.dqLen != cfg.FetchQueue {
+			t.Fatalf("round %d: queue holds %d, want the bound %d", round, m.dqLen, cfg.FetchQueue)
+		}
+		if got := fe.Count; got != popped+uint64(cfg.FetchQueue) {
+			t.Fatalf("round %d: oracle stepped %d times for %d popped + %d queued", round, got, popped, cfg.FetchQueue)
+		}
+		// Drain part of the queue, in order, so the next fill wraps.
+		for k := 0; k < 11; k++ {
+			if seq := m.dqFront().step.Seq; seq != popped {
+				t.Fatalf("round %d: front Seq %d, want %d", round, seq, popped)
+			}
+			m.dqPop()
+			popped++
+		}
+	}
+	if &m.decodeQ[0] != ring || len(m.decodeQ) != 32 {
+		t.Fatalf("fetch queue reallocated (len %d)", len(m.decodeQ))
 	}
 }

@@ -97,6 +97,7 @@ func renderTable2(*Result) string {
 	c := config.Clustered()
 	t := stats.NewTable("", "parameter", "value")
 	t.AddRow("fetch/decode/retire width", fmt.Sprintf("%d / %d / %d", c.FetchWidth, c.DecodeWidth, c.RetireWidth))
+	t.AddRow("fetch queue", fmt.Sprintf("%d instructions", c.FetchQueue))
 	t.AddRow("max in-flight instructions", fmt.Sprintf("%d", c.MaxInFlight))
 	for i, cl := range c.Clusters {
 		t.AddRow(fmt.Sprintf("cluster %d functional units", i+1),

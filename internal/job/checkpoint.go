@@ -73,7 +73,24 @@ func (c *Checkpointed) Run(ctx context.Context, j Job) (*stats.Run, error) {
 		case e.cp == nil:
 			return Direct{}.Run(ctx, j)
 		}
-		r, err := e.cp.Measure(j.Measure)
+		m := e.cp.Restore()
+		if m == nil {
+			return nil, fmt.Errorf("job: %s/%s: checkpoint no longer restorable", j.Scheme, j.Benchmark)
+		}
+		if src := oracleSourceFrom(ctx); src != nil {
+			// The snapshot's oracle is the leader's: over a recorded trace
+			// it reaches only the leader's window plus the fetch-ahead
+			// bound, and this follower may measure further. Continue the
+			// same stream from the follower's own source, whose recording
+			// covers its window. A live-emulator snapshot cannot be taken
+			// over, and needs no help: its stream never ends.
+			o, err := src()
+			if err != nil {
+				return nil, err
+			}
+			m.ResumeOracle(o)
+		}
+		r, err := m.Measure(j.Measure)
 		if err != nil {
 			return nil, fmt.Errorf("job: %s/%s: %w", j.Scheme, j.Benchmark, err)
 		}

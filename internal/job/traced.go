@@ -2,10 +2,10 @@ package job
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/prog"
 	"repro/internal/stats"
@@ -30,22 +30,12 @@ type BlobStore interface {
 // snapshot — so the default matches Checkpointed's.
 const defaultTraceLimit = 128
 
-// traceSlackInstructions is the recording margin past the nominal window.
-// A cell commits Warmup+Measure instructions but its front end fetches
-// ahead by a scheme- and configuration-dependent amount (in-flight
-// window, decode queue growth), so the recording covers twice the window
-// plus a fixed floor. The margin is a performance knob, not a correctness
-// one: a consumer that still outruns the trace fails loudly
-// (core.ErrOracleExhausted) and Traced re-records a longer trace — see
-// maxExtendAttempts.
-const traceSlackInstructions = 4096
-
-// maxExtendAttempts bounds the re-record-with-doubled-budget loop a cell
-// runs when its front end outruns the recording (some workloads fetch
-// several windows ahead of commit; vortex needs ~3x). Each attempt doubles
-// the recorded steps, so the cap allows a 2^maxExtendAttempts-fold margin
-// before the cell gives up and re-runs against the live emulator.
-const maxExtendAttempts = 6
+// planFetchAhead is the largest core.FetchAheadBound of any machine
+// ConfigFor plans: ClusteredN at MaxClusters has the widest retire, the
+// deepest fetch queue and the largest window. Recordings cover it, so one
+// recording per (program, window) serves every planned cell; a hand-built
+// machine with a deeper front end re-records before its run.
+var planFetchAhead = core.FetchAheadBound(config.ClusteredN(config.MaxClusters))
 
 // Traced is a Runner that amortizes the functional front end across the
 // grid: the oracle stream for a (program, window) pair is recorded at
@@ -100,11 +90,11 @@ type TracedMetrics struct {
 	BlobHits uint64
 	// Replays is the number of cells run from a replay cursor.
 	Replays uint64
-	// Extensions counts recordings redone with a doubled budget after a
-	// cell's front end outran the trace.
-	Extensions uint64
-	// LiveFallbacks counts cells re-run live after outrunning the trace
-	// even at the maximum extension budget.
+	// Extensions and LiveFallbacks counted re-recordings and live re-runs
+	// after a cell's front end outran its trace. Recordings are sized by
+	// core.FetchAheadBound, so no replay outruns one and both stay 0; they
+	// remain for readers of the counters.
+	Extensions    uint64
 	LiveFallbacks uint64
 }
 
@@ -140,7 +130,10 @@ func (c *Traced) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	}
 	key := trace.Key(p.Digest(), window)
 
-	tr, err := c.traceFor(p, window, key, 0)
+	// The machine consumes and peeks at no more than window +
+	// FetchAheadBound steps, so a trace that long cannot run dry: a
+	// replay that does anyway returns its error.
+	tr, err := c.traceFor(p, window, key, window+core.FetchAheadBound(j.Config))
 	if err != nil {
 		return nil, err
 	}
@@ -150,35 +143,7 @@ func (c *Traced) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	c.mu.Unlock()
 
 	src := func() (core.Oracle, error) { return trace.NewReplayer(tr, p) }
-	r, err := c.next().Run(withOracleSource(ctx, src), j)
-	for attempt := 0; errors.Is(err, core.ErrOracleExhausted) && !tr.Halted && attempt < maxExtendAttempts; attempt++ {
-		// The cell's front end fetched past the recording. Correctness is
-		// preserved by construction — the replayed prefix was bit-exact —
-		// so re-record with a doubled budget and redo the run from the
-		// longer trace. The retry bypasses Next: warm state Next may have
-		// snapshotted is keyed to the exhausted cursor and must not be
-		// reused. The longer recording replaces the cached (and blob-
-		// stored) one, so later cells replay it directly.
-		c.mu.Lock()
-		c.metrics.Extensions++
-		c.mu.Unlock()
-		tr, err = c.traceFor(p, window, key, 2*tr.Steps)
-		if err != nil {
-			return nil, err
-		}
-		longSrc := func() (core.Oracle, error) { return trace.NewReplayer(tr, p) }
-		r, err = Direct{}.Run(withOracleSource(ctx, longSrc), j)
-	}
-	if errors.Is(err, core.ErrOracleExhausted) {
-		// Even the maximum extension budget was outrun (or the program
-		// halts mid-fetch in a way replay cannot serve): redo the run
-		// against the live emulator.
-		c.mu.Lock()
-		c.metrics.LiveFallbacks++
-		c.mu.Unlock()
-		return Direct{}.Run(ctx, j)
-	}
-	return r, err
+	return c.next().Run(withOracleSource(ctx, src), j)
 }
 
 // traceFor returns the cached trace for key, recording it (or fetching it
@@ -249,11 +214,11 @@ func (c *Traced) rememberLocked(key string) {
 // previous process already recorded a sufficient one, by running the
 // functional emulator otherwise. Recording needs no timing machine — the
 // stream depends only on the program — so the leader's cost is one
-// emulator sweep over the window plus slack (or minSteps, when an
-// exhausted replay is asking for a longer recording). A blob that fails
-// to decode, belongs to another program, or is shorter than minSteps is
-// treated as a miss and re-recorded, so a damaged or outgrown cache
-// self-heals the way store.Cached's result reads do.
+// emulator sweep over the window plus planFetchAhead (or minSteps, for a
+// machine with a deeper front end). A blob that fails to decode, belongs
+// to another program, or is shorter than minSteps is treated as a miss
+// and re-recorded, so a damaged or outgrown cache self-heals the way
+// store.Cached's result reads do.
 func (c *Traced) record(p *prog.Program, window uint64, key string, minSteps uint64) (*trace.Trace, error) {
 	if c.Blobs != nil {
 		if raw, ok, _ := c.Blobs.GetBlob(key); ok {
@@ -266,10 +231,7 @@ func (c *Traced) record(p *prog.Program, window uint64, key string, minSteps uin
 			}
 		}
 	}
-	budget := 2*window + traceSlackInstructions
-	if minSteps > budget {
-		budget = minSteps
-	}
+	budget := max(window+planFetchAhead, minSteps)
 	rec := trace.NewRecorder(p)
 	if err := rec.Extend(budget); err != nil {
 		return nil, fmt.Errorf("job: recording %s over %d instructions: %w", p.Name, window, err)

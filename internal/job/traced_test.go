@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -55,9 +57,8 @@ func TestTracedMatchesDirect(t *testing.T) {
 			}
 		}
 	}
-	m := c.Metrics()
-	if m.LiveFallbacks != 0 {
-		t.Errorf("%d live fallbacks on the standard grid, want 0 (slack margin too small)", m.LiveFallbacks)
+	if m := c.Metrics(); m.Extensions != 0 || m.LiveFallbacks != 0 {
+		t.Errorf("metrics %+v: a replay outran its recording", m)
 	}
 }
 
@@ -217,12 +218,12 @@ func TestTracedCorruptBlobSelfHeals(t *testing.T) {
 	}
 }
 
-// TestTracedExhaustionExtendsRecording seeds the blob store with a
-// deliberately short recording under the correct key: replay must fail
-// loudly mid-run and Traced must re-record with a doubled budget and
-// redo the cell from the longer trace, bit-identical to Direct — never
-// return a silently short measurement.
-func TestTracedExhaustionExtendsRecording(t *testing.T) {
+// TestTracedShortBlobReRecorded seeds the blob store with a deliberately
+// short recording under the correct key: Traced must see that it cannot
+// cover window + core.FetchAheadBound and re-record before the run, never
+// start a replay that would run dry. The result is bit-identical to
+// Direct, and the longer recording replaces the short blob.
+func TestTracedShortBlobReRecorded(t *testing.T) {
 	j, err := Spec{Scheme: "general", Benchmark: "compress", Warmup: 2_000, Measure: 5_000}.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -246,33 +247,62 @@ func TestTracedExhaustionExtendsRecording(t *testing.T) {
 	c := &Traced{Blobs: blobs}
 	r, err := c.Run(context.Background(), j)
 	if err != nil {
-		t.Fatalf("exhausted replay should extend the recording, got %v", err)
+		t.Fatalf("short blob should be re-recorded up front, got %v", err)
 	}
 	if got, want := ResultDigest(r), directDigest(t, j); got != want {
-		t.Errorf("extended-replay digest %s, direct %s", got, want)
+		t.Errorf("re-recorded replay digest %s, direct %s", got, want)
 	}
 	m := c.Metrics()
-	if m.BlobHits != 1 || m.Extensions == 0 || m.Recordings == 0 || m.LiveFallbacks != 0 {
-		t.Fatalf("metrics %+v, want the short blob accepted once, then extended by a fresh recording with no live fallback", m)
+	if m.BlobHits != 0 || m.Recordings != 1 || m.Extensions != 0 || m.LiveFallbacks != 0 {
+		t.Fatalf("metrics %+v, want the short blob refused and one recording", m)
 	}
 
-	// The longer recording must have replaced the short blob (the cache
-	// self-upgrades), and a later cell must replay it with no further
-	// recording work.
+	// The recording covers every planned machine, and replaced the short
+	// blob; a later cell replays it with no further recording work.
+	blobs.mu.Lock()
 	long, err := trace.Decode(blobs.blobs[key])
+	blobs.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if long.Steps <= short.Steps {
-		t.Fatalf("blob still holds %d steps, want more than the short recording's %d", long.Steps, short.Steps)
+	if long.Steps != window+planFetchAhead {
+		t.Fatalf("blob holds %d steps, want window %d + %d", long.Steps, window, planFetchAhead)
 	}
-	before := c.Metrics()
 	if _, err := c.Run(context.Background(), j); err != nil {
 		t.Fatal(err)
 	}
-	after := c.Metrics()
-	if after.Recordings != before.Recordings || after.Extensions != before.Extensions {
-		t.Fatalf("second run re-recorded: before %+v after %+v", before, after)
+	if after := c.Metrics(); after.Recordings != 1 {
+		t.Fatalf("second run re-recorded: %+v", after)
+	}
+}
+
+// TestTracedDeepFrontEndReRecords: a hand-built machine whose front end
+// can run further ahead than any planned machine's finds the cached
+// recording too short and re-records before its run, bit-identical to
+// Direct; planned cells keep sharing the longer recording.
+func TestTracedDeepFrontEndReRecords(t *testing.T) {
+	j, err := Spec{Scheme: "general", Benchmark: "vortex", Clusters: 8, Warmup: 2_000, Measure: 3_000}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := j
+	deep.Config = config.ClusteredN(8)
+	deep.Config.FetchQueue = config.MaxFetchQueue
+	if core.FetchAheadBound(deep.Config) <= planFetchAhead {
+		t.Fatal("hand-built machine does not outreach the planned ones")
+	}
+	c := &Traced{}
+	for i, jj := range []Job{j, deep, j} {
+		r, err := c.Run(context.Background(), jj)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if got, want := ResultDigest(r), directDigest(t, jj); got != want {
+			t.Errorf("run %d: digest %s, direct %s", i, got, want)
+		}
+	}
+	if m := c.Metrics(); m.Recordings != 2 || m.Extensions != 0 || m.LiveFallbacks != 0 {
+		t.Fatalf("metrics %+v, want one recording per front-end reach", m)
 	}
 }
 
@@ -298,6 +328,37 @@ func TestTracedComposesWithCheckpointed(t *testing.T) {
 		if e.cp == nil && e.err == nil {
 			t.Errorf("warm key %s: replayed machine was not snapshottable", key)
 		}
+	}
+}
+
+// TestTracedCheckpointedWindowSweep is the measurement-window sweep shape:
+// cells that differ only in Measure share one warm snapshot, whose replay
+// cursor runs over the shortest window's recording. Followers measuring
+// further must continue on their own, longer recording (a restored
+// machine resumes the stream) and stay bit-identical to Direct.
+func TestTracedCheckpointedWindowSweep(t *testing.T) {
+	cp := &Checkpointed{}
+	c := &Traced{Next: cp}
+	for _, bench := range []string{"vortex", "go"} {
+		for _, measure := range []uint64{1_000, 4_000, 12_000} {
+			j, err := Spec{Scheme: "general", Benchmark: bench, Warmup: 3_000, Measure: measure}.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.Run(context.Background(), j)
+			if err != nil {
+				t.Fatalf("%s measure %d: %v", bench, measure, err)
+			}
+			if got, want := ResultDigest(r), directDigest(t, j); got != want {
+				t.Errorf("%s measure %d: digest %s, direct %s", bench, measure, got, want)
+			}
+		}
+	}
+	if n := len(cp.entries); n != 2 {
+		t.Errorf("%d warm snapshots, want one per benchmark", n)
+	}
+	if m := c.Metrics(); m.Recordings != 6 || m.Extensions != 0 || m.LiveFallbacks != 0 {
+		t.Errorf("metrics %+v, want one recording per (benchmark, window) and nothing else", m)
 	}
 }
 

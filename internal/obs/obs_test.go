@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -244,12 +245,12 @@ func TestAccessLog(t *testing.T) {
 		mu.Unlock()
 	}
 	mux := http.NewServeMux()
-	flushed := false
+	var flushed atomic.Bool
 	mux.HandleFunc("GET /stream", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "data")
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
-			flushed = true
+			flushed.Store(true)
 		}
 		w.WriteHeader(http.StatusOK) // late, must not clobber recorded status
 	})
@@ -263,9 +264,16 @@ func TestAccessLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if _, err := http.Get(ts.URL + "/missing"); err != nil {
+	resp, err = http.Get(ts.URL + "/missing")
+	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	// The client can hold a response before the server's handler — and the
+	// access-log line written after it — has returned (the flushed
+	// /stream body arrives before its handler ends). Close waits for every
+	// in-flight handler, so the lines are complete after it.
+	ts.Close()
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -284,7 +292,7 @@ func TestAccessLog(t *testing.T) {
 	if !strings.Contains(missing, `"status":404`) {
 		t.Errorf("unmatched request not logged as 404: %s", missing)
 	}
-	if !flushed {
+	if !flushed.Load() {
 		t.Error("recorder did not expose Flush")
 	}
 }

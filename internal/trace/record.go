@@ -10,7 +10,7 @@ import (
 // Recorder is a recording oracle: a live functional emulator whose
 // served stream is simultaneously captured in the trace format. Wire it
 // into a timing machine (core.NewWithOracle) and every instruction the
-// fetch stage consumes lands in the recording; Extend then appends slack
+// fetch stage consumes lands in the recording; Extend then appends steps
 // past what that machine happened to consume, and Finalize freezes the
 // Trace.
 //
@@ -62,10 +62,10 @@ func (r *Recorder) Steps() uint64 { return r.enc.steps }
 // Extend records up to n further instructions (stopping at HALT). The
 // timing machine the recording was driven by consumed some
 // scheme-dependent number of fetch-ahead instructions; other consumers
-// of the trace may run slightly further. Recording a slack margin past
-// the leader's demand makes the trace serve any same-window consumer
-// (job.Traced sizes the margin; a consumer that still outruns the trace
-// fails loudly with core.ErrOracleExhausted and is re-run live).
+// of the trace may run further. A recording of window +
+// core.FetchAheadBound(cfg) steps serves every consumer on cfg that runs
+// to that window (job.Traced records that far); a consumer that still
+// outruns the trace fails loudly with core.ErrOracleExhausted.
 func (r *Recorder) Extend(n uint64) error {
 	for i := uint64(0); i < n && !r.m.Halted; i++ {
 		if err := r.StepInto(&r.scratch); err != nil {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,7 +39,10 @@ var (
 // over the shared immutable payload, which is what lets a warm-state
 // checkpoint (core.Checkpoint) snapshot a replaying machine.
 type Replayer struct {
-	prog    *prog.Program
+	prog *prog.Program
+	// digest is the recorded program's identity (Trace.ProgramDigest),
+	// which ResumeFrom matches.
+	digest  string
 	payload []byte
 	pos     int
 	idx     uint64 // steps served
@@ -64,7 +68,7 @@ func NewReplayer(t *Trace, p *prog.Program) (*Replayer, error) {
 	if t.Entry < 0 || t.Entry >= len(p.Text) {
 		return nil, fmt.Errorf("trace: entry %d outside program text [0,%d)", t.Entry, len(p.Text))
 	}
-	return &Replayer{prog: p, payload: t.payload, pc: t.Entry, n: t.Steps}, nil
+	return &Replayer{prog: p, digest: t.ProgramDigest, payload: t.payload, pc: t.Entry, n: t.Steps}, nil
 }
 
 // uvarint reads one varint field, reporting failure instead of
@@ -203,6 +207,23 @@ func (r *Replayer) Steps() uint64 { return r.idx }
 func (r *Replayer) CloneOracle() core.Oracle {
 	c := *r
 	return &c
+}
+
+// ResumeFrom implements core.ResumableOracle: it moves the cursor to where
+// prev, a cursor over another recording of the same program, stands. The
+// encoder is streaming, so a longer recording of a program extends a
+// shorter one byte for byte; the bytes prev has consumed must match the
+// receiver's and prev's position must lie within the receiver's stream.
+// Otherwise it reports false and leaves the receiver unchanged.
+func (r *Replayer) ResumeFrom(prev core.Oracle) bool {
+	p, ok := prev.(*Replayer)
+	if !ok || p.digest != r.digest || p.idx > r.n || p.pos > len(r.payload) ||
+		!bytes.Equal(p.payload[:p.pos], r.payload[:p.pos]) {
+		return false
+	}
+	r.pos, r.idx, r.pc, r.halted = p.pos, p.idx, p.pc, p.halted
+	r.prevAddr, r.prevVal = p.prevAddr, p.prevVal
+	return true
 }
 
 // Validate walks t's entire stream against p, verifying that every step

@@ -62,8 +62,8 @@ type Trace struct {
 	// Entry is the program's entry instruction index (the first PC).
 	Entry int
 	// Window is the committed-instruction budget the recording was made
-	// for (0 = recorded to HALT). Steps may exceed it: recordings carry
-	// slack because the fetch stage runs ahead of commit.
+	// for (0 = recorded to HALT). Steps may exceed it: the fetch stage
+	// runs ahead of commit, by at most core.FetchAheadBound steps.
 	Window uint64
 	// Steps is the number of instructions in the stream.
 	Steps uint64

@@ -332,6 +332,82 @@ func TestReplayerCloneIndependence(t *testing.T) {
 	}
 }
 
+// recordPrefix records the first n steps of p's stream.
+func recordPrefix(t *testing.T, p *prog.Program, n uint64) *trace.Trace {
+	t.Helper()
+	rec := trace.NewRecorder(p)
+	if err := rec.Extend(n); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Finalize(n)
+}
+
+// TestReplayerResumeFrom: a cursor over a longer recording of the same
+// program takes over a shorter recording's cursor mid-stream and serves
+// the live remainder; anything else — another program, a position past
+// its own stream, a live emulator — is refused without moving it.
+func TestReplayerResumeFrom(t *testing.T) {
+	p := rdg.RandomProgram(9)
+	want := liveSteps(t, p)
+	short, long := recordPrefix(t, p, 40), recordToHalt(t, p)
+	rep, err := trace.NewReplayer(short, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st emu.Step
+	for i := 0; i < 40; i++ {
+		if err := rep.StepInto(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.PC() >= 0 {
+		t.Fatal("short recording should be exhausted")
+	}
+	next, err := trace.NewReplayer(long, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !next.ResumeFrom(rep) {
+		t.Fatal("longer recording refused to resume the shorter one")
+	}
+	for i := 40; i < len(want); i++ {
+		if err := next.StepInto(&st); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(st, want[i]) {
+			t.Fatalf("step %d differs after resume:\n got: %+v\nwant: %+v", i, st, want[i])
+		}
+	}
+	if !next.Halted() {
+		t.Fatal("resumed cursor not halted at end of stream")
+	}
+
+	// Refusals leave the receiver at the start of its stream.
+	other, err := trace.NewReplayer(recordPrefix(t, rdg.RandomProgram(7), 60), rdg.RandomProgram(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooShort, err := trace.NewReplayer(recordPrefix(t, p, 20), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		recv *trace.Replayer
+		prev core.Oracle
+	}{
+		"other program":      {other, rep},
+		"past its own end":   {tooShort, rep},
+		"live emulator prev": {tooShort, core.EmuOracle{M: emu.New(p)}},
+	} {
+		if c.recv.ResumeFrom(c.prev) {
+			t.Errorf("%s: resume accepted", name)
+		}
+		if c.recv.Steps() != 0 {
+			t.Errorf("%s: refused resume moved the cursor to step %d", name, c.recv.Steps())
+		}
+	}
+}
+
 // TestRecorderIsNotCloneable: cloning a recording oracle would let two
 // machines append to one buffer; the type must opt out so checkpointing
 // fails gracefully instead.
