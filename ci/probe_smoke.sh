@@ -3,7 +3,10 @@
 # cell of the grid plain, then again with the full probe stack attached
 # (-attrib + -konata), and assert the probes are passive (bit-identical
 # result digest), the cycle attribution accounts for every measured cycle,
-# and the Konata export is a well-formed pipeline trace. Then submit the
+# and the Konata export is a well-formed pipeline trace. Every dcasim run
+# is a job on one run path, so a -pipetrace run, a -machine override that
+# names the default machine, and an assembly file run with and without
+# -pipetrace must each match their plain counterpart. Then submit the
 # same cell to dcaserve with "probe": true and assert the response carries
 # an attribution alongside an unchanged digest while the stored result
 # stays probe-free. Run from the repo root (`make probe-smoke` or the CI
@@ -18,6 +21,8 @@ KANATA="$TMP/probesmoke.kanata"
 PLAIN="$TMP/probesmoke-plain.txt"
 PROBED="$TMP/probesmoke-probed.txt"
 OUT="$TMP/probesmoke.json"
+PIPE="$TMP/probesmoke-pipetrace.txt"
+ASM="$TMP/probesmoke.s"
 
 # One cell: compress/general, 200 warm-up + 1000 measured instructions —
 # the same window the other smokes use.
@@ -78,6 +83,36 @@ for kind in I S R; do
     exit 1
   fi
 done
+
+# The text pipetrace is a probe like the others: at a cycle inside the
+# run it prints pipeline events, and the digest stays the plain run's.
+"$SIM" -bench compress -scheme general -warmup "$WARMUP" -measure "$MEASURE" -pipetrace 300 >"$PIPE"
+n=$(grep -Ec '^ *[0-9]+ (dispatch|issue|complete|commit) ' "$PIPE" || true)
+if [ "$n" -lt 10 ]; then
+  echo "probe smoke: -pipetrace printed only $n event lines" >&2
+  exit 1
+fi
+if [ "$(digest_row <"$PIPE")" != "$LIVE" ]; then
+  echo "probe smoke: -pipetrace run's digest differs from the plain run's" >&2
+  exit 1
+fi
+
+# -machine clustered on two clusters is general's own machine: the same
+# job, so the same digest.
+OVERRIDE=$("$SIM" -bench compress -scheme general -warmup "$WARMUP" -measure "$MEASURE" -machine clustered | digest_row)
+if [ "$OVERRIDE" != "$LIVE" ]; then
+  echo "probe smoke: -machine clustered digest differs from the default run (default=$LIVE override=$OVERRIDE)" >&2
+  exit 1
+fi
+
+# An assembly file runs to HALT through the same path, probed or not.
+printf '  addi r1, r0, 1\n  add  r2, r1, r1\n  halt\n' >"$ASM"
+FILE=$("$SIM" -program "$ASM" -warmup 0 -measure 0 | digest_row)
+FILEPIPE=$("$SIM" -program "$ASM" -warmup 0 -measure 0 -pipetrace 1 | digest_row)
+if [ -z "$FILE" ] || [ "$FILE" != "$FILEPIPE" ]; then
+  echo "probe smoke: -program digest changes under -pipetrace (plain=$FILE pipetrace=$FILEPIPE)" >&2
+  exit 1
+fi
 
 # The same cell as a probed dcaserve submission: attribution rides the
 # response, the digest is the live one, and the stored result stays free

@@ -1,6 +1,6 @@
 // Command dcaasm assembles a program in the repository's assembly dialect
-// and either disassembles it back (default), emits the binary image, or
-// executes it on the functional emulator.
+// and either disassembles it back (default), writes its encoded text
+// segment, or executes it on the functional emulator.
 //
 // Usage:
 //

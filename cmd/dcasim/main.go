@@ -1,11 +1,12 @@
 // Command dcasim runs one benchmark under one steering scheme on the
 // clustered timing simulator and prints the full measurement record.
 //
-// Named-benchmark runs go through the job layer (internal/job): the cell
-// is planned into a canonical job whose content digest is printed with the
-// results — the same key cmd/dcaserve would cache and serve it under.
-// Assembly-file runs, pipeline traces, and machine overrides drive the
-// core directly.
+// Every run is a job of the run layer (internal/job), printed with its
+// content digest: a named workload on its scheme's machine is the grid
+// cell cmd/dcaserve would cache and serve under the same key. -machine
+// overrides the job's machine, -program runs an assembly file in place of
+// the named workload, -replay fetches the oracle stream from a recording,
+// and -pipetrace, -attrib and -konata are probes on the job's machine.
 //
 // Usage:
 //
@@ -43,31 +44,23 @@ import (
 
 func main() {
 	var (
-		bench       = flag.String("bench", "compress", "workload name (see -list)")
-		file        = flag.String("program", "", "assembly file to run instead of a named workload")
-		scheme      = flag.String("scheme", "general", "steering scheme (see -list)")
-		machine     = flag.String("machine", "", "machine override: base | clustered | fifo | ub")
-		clusters    = flag.Int("clusters", 2, "cluster count (2 = the paper's asymmetric machine, else config.ClusteredN)")
-		warmup      = flag.Uint64("warmup", 100_000, "warm-up instructions")
-		measure     = flag.Uint64("measure", 1_000_000, "measured instructions (0 = run to halt)")
-		list        = flag.Bool("list", false, "list workloads and schemes, then exit")
-		pipetrace   = flag.Uint64("pipetrace", 0, "print a pipeline trace for 30 cycles starting at this cycle")
-		legacyTrace = flag.Uint64("trace", 0, "deprecated alias for -pipetrace (kept for old scripts)")
-		replay      = flag.String("replay", "", "fetch the oracle stream from this dcatrace recording instead of the live emulator")
-		attrib      = flag.Bool("attrib", false, "attribute every measured cycle to a stall class and print the breakdown")
-		konata      = flag.String("konata", "", "write a Konata (Kanata) pipeline trace of the run to this file")
-		konataFrom  = flag.Uint64("konata-from", 0, "first cycle of the Konata export window")
-		konataTo    = flag.Uint64("konata-to", 0, "last cycle of the Konata export window (0 = to the end)")
-		disagree    = flag.Bool("disagree", false, "replay one recorded oracle stream through every scheme and print the steering disagreement matrix")
+		bench      = flag.String("bench", "compress", "workload name (see -list)")
+		file       = flag.String("program", "", "assembly file to run instead of a named workload")
+		scheme     = flag.String("scheme", "general", "steering scheme (see -list)")
+		machine    = flag.String("machine", "", "machine override: base | clustered | fifo | ub")
+		clusters   = flag.Int("clusters", 2, "cluster count (2 = the paper's asymmetric machine, else config.ClusteredN)")
+		warmup     = flag.Uint64("warmup", 100_000, "warm-up instructions")
+		measure    = flag.Uint64("measure", 1_000_000, "measured instructions (0 = run to halt)")
+		list       = flag.Bool("list", false, "list workloads and schemes, then exit")
+		pipetrace  = flag.Uint64("pipetrace", 0, "print a pipeline trace for 30 cycles starting at this cycle")
+		replay     = flag.String("replay", "", "fetch the oracle stream from this dcatrace recording instead of the live emulator")
+		attrib     = flag.Bool("attrib", false, "attribute every measured cycle to a stall class and print the breakdown")
+		konata     = flag.String("konata", "", "write a Konata (Kanata) pipeline trace of the run to this file")
+		konataFrom = flag.Uint64("konata-from", 0, "first cycle of the Konata export window")
+		konataTo   = flag.Uint64("konata-to", 0, "last cycle of the Konata export window (0 = to the end)")
+		disagree   = flag.Bool("disagree", false, "replay one recorded oracle stream through every scheme and print the steering disagreement matrix")
 	)
 	flag.Parse()
-	traceAt := *pipetrace
-	if *legacyTrace != 0 {
-		fmt.Fprintln(os.Stderr, "dcasim: -trace is deprecated (it names the oracle trace layer now); use -pipetrace")
-		if traceAt == 0 {
-			traceAt = *legacyTrace
-		}
-	}
 
 	if *list {
 		fmt.Println("workloads:", workload.Names())
@@ -80,6 +73,11 @@ func main() {
 	if err := job.ValidateScheme(*scheme); err != nil {
 		fatal(err)
 	}
+	if *file == "" {
+		if err := job.ValidateBenchmark(*bench); err != nil {
+			fatal(err)
+		}
+	}
 	if *disagree {
 		if err := runDisagree(*bench, *clusters, *warmup, *measure); err != nil {
 			fatal(err)
@@ -87,9 +85,39 @@ func main() {
 		return
 	}
 
+	j, err := planJob(*scheme, *bench, *machine, *clusters, *warmup, *measure)
+	if err != nil {
+		fatal(err)
+	}
+	key := j.Key()
+	var p *prog.Program
+	if *file != "" {
+		// An assembly file is not a named workload: its job key would not
+		// identify the program, so none is printed.
+		if p, err = assemble(*file); err != nil {
+			fatal(err)
+		}
+		j.Benchmark, key = p.Name, ""
+	} else if p, err = workload.Load(j.Benchmark); err != nil {
+		fatal(err)
+	}
+
+	ctx := context.Background()
+	if *replay != "" {
+		raw, err := os.ReadFile(*replay)
+		if err != nil {
+			fatal(err)
+		}
+		tr, err := trace.Decode(raw)
+		if err != nil {
+			fatal(err)
+		}
+		ctx = job.WithOracle(ctx, func() (core.Oracle, error) { return trace.NewReplayer(tr, p) })
+	}
+
 	// Assemble the requested probe stack. Probes are passive — the printed
 	// measurements and the result digest are bit-identical with and without
-	// them — so they attach to either execution path uniformly.
+	// them.
 	var (
 		at     *probe.Attribution
 		fore   *probe.Forensics
@@ -97,6 +125,9 @@ func main() {
 		kfile  *os.File
 		probes []core.Probe
 	)
+	if *pipetrace > 0 {
+		probes = append(probes, &probe.Text{W: os.Stdout, From: *pipetrace, To: *pipetrace + 30})
+	}
 	if *attrib {
 		at = probe.NewAttribution()
 		fore = &probe.Forensics{}
@@ -112,40 +143,15 @@ func main() {
 		kon.From, kon.To = *konataFrom, *konataTo
 		probes = append(probes, kon)
 	}
-	stack := probe.Multi(probes...)
-
-	var (
-		r   *stats.Run
-		cfg *config.Config
-		key string
-		err error
-	)
-	if *file == "" && *machine == "" && traceAt == 0 && *replay == "" {
-		// The standard case is one cell of the evaluation grid: plan it as
-		// a canonical job and execute through the run layer.
-		var j job.Job
-		j, err = job.Spec{
-			Scheme:    *scheme,
-			Benchmark: *bench,
-			Clusters:  *clusters,
-			Warmup:    *warmup,
-			Measure:   *measure,
-		}.Plan()
-		if err != nil {
-			fatal(err)
-		}
-		cfg, key = j.Config, j.Key()
-		if stack != nil {
-			r, err = job.RunProbed(context.Background(), j, stack)
-		} else {
-			r, err = job.Direct{}.Run(context.Background(), j)
-		}
-	} else {
-		r, cfg, err = runDirect(*file, *bench, *scheme, *machine, *clusters, *warmup, *measure, traceAt, *replay, stack)
+	if stack := probe.Multi(probes...); stack != nil {
+		ctx = job.WithProbe(ctx, func() core.Probe { return stack })
 	}
+
+	r, err := job.RunProgram(ctx, j, p)
 	if err != nil {
 		fatal(err)
 	}
+	cfg := j.Config
 
 	name := r.Benchmark
 	t := stats.NewTable(fmt.Sprintf("%s on %s (%s machine)", *scheme, name, cfg.Name),
@@ -229,101 +235,62 @@ func runDisagree(bench string, clusters int, warmup, measure uint64) error {
 	return nil
 }
 
-// runDirect is the power-user path — assembly files, pipeline traces,
-// machine overrides, trace replay — driving the core directly instead of
-// the job layer. The extra probe stack (attribution, Konata) composes with
-// the text pipeline tracer through the same seam.
-func runDirect(file, bench, scheme, machine string, clusters int, warmup, measure, traceAt uint64, replay string, extra core.Probe) (*stats.Run, *config.Config, error) {
-	var p *prog.Program
-	var err error
-	if file != "" {
-		src, rerr := os.ReadFile(file)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		p, err = asm.Assemble(filepath.Base(file), string(src))
-	} else {
-		p, err = workload.Load(bench)
-	}
+// planJob builds the run's job. Without -machine it is exactly the
+// canonical cell job.Spec plans (the scheme's machine, default balance
+// parameters sized to it; none for the pseudo-schemes), so its key is the
+// one cmd/dcaserve serves; -machine swaps in a preset. It is built here
+// rather than through Spec.Plan because dcasim also runs what a servable
+// job may not carry: -measure 0 (run to halt) and -program files.
+func planJob(scheme, bench, machine string, clusters int, warmup, measure uint64) (job.Job, error) {
+	cfg, err := machineConfig(machine, scheme, clusters)
 	if err != nil {
-		return nil, nil, err
+		return job.Job{}, err
 	}
+	j := job.Job{Config: cfg, Scheme: scheme, Benchmark: bench, Warmup: warmup, Measure: measure}
+	if scheme != job.BaseScheme && scheme != job.UBScheme {
+		j.Params = steer.DefaultParams()
+		j.Params.Clusters = cfg.NumClusters()
+	}
+	return j, nil
+}
 
-	var cfg *config.Config
+// machineConfig resolves -machine: "" is the scheme's own machine
+// (job.ConfigFor); the others name a preset, the clustered ones sized by
+// -clusters.
+func machineConfig(machine, scheme string, clusters int) (*config.Config, error) {
+	if machine == "" {
+		return job.ConfigFor(scheme, clusters), nil
+	}
+	if clusters != 2 {
+		switch machine {
+		case "clustered":
+			return config.ClusteredN(clusters), nil
+		case "fifo":
+			return config.ClusteredNFIFO(clusters), nil
+		case "base", "ub":
+			return nil, fmt.Errorf("-clusters only applies to the clustered machines, not %q", machine)
+		}
+	}
 	switch machine {
-	case "":
-		cfg = job.ConfigFor(scheme, clusters)
 	case "base":
-		cfg = config.Base()
+		return config.Base(), nil
 	case "clustered":
-		cfg = config.Clustered()
+		return config.Clustered(), nil
 	case "fifo":
-		cfg = config.FIFOClustered()
+		return config.FIFOClustered(), nil
 	case "ub":
-		cfg = config.UpperBound()
-	default:
-		return nil, nil, fmt.Errorf("unknown machine %q", machine)
+		return config.UpperBound(), nil
 	}
-	if clusters != 2 && machine != "" {
-		if machine != "clustered" && machine != "fifo" {
-			return nil, nil, fmt.Errorf("-clusters only applies to the clustered machines, not %q", machine)
-		}
-		if machine == "fifo" {
-			cfg = config.ClusteredNFIFO(clusters)
-		} else {
-			cfg = config.ClusteredN(clusters)
-		}
-	}
+	return nil, fmt.Errorf("unknown machine %q", machine)
+}
 
-	// Pseudo-schemes run the machine's naive rule, mirroring job.Direct.
-	var st core.Steerer
-	if scheme == job.BaseScheme || scheme == job.UBScheme {
-		st = core.NaiveSteerer{}
-	} else {
-		params := steer.DefaultParams()
-		params.Clusters = cfg.NumClusters()
-		st, err = steer.NewWithParams(scheme, p, params)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var m *core.Machine
-	if replay != "" {
-		raw, rerr := os.ReadFile(replay)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		tr, derr := trace.Decode(raw)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		rep, rerr := trace.NewReplayer(tr, p)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		m, err = core.NewWithOracle(cfg, p, st, rep)
-	} else {
-		m, err = core.New(cfg, p, st)
-	}
+// assemble reads and assembles an assembly file, named after its base name.
+func assemble(file string) (*prog.Program, error) {
+	src, err := os.ReadFile(file)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The text pipeline tracer rides the probe seam like every other
-	// observer (core.TracerProbe adapts the legacy Tracer interface), so
-	// -pipetrace composes with -attrib and -konata on one machine.
-	if traceAt > 0 {
-		extra = probe.Multi(extra,
-			core.TracerProbe(&core.TextTracer{W: os.Stdout, From: traceAt, To: traceAt + 30}))
-	}
-	if extra != nil {
-		m.SetProbe(extra)
-	}
-	r, err := m.RunWithWarmup(warmup, measure)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.Scheme = scheme
-	return r, cfg, nil
+	return asm.Assemble(filepath.Base(file), string(src))
 }
 
 func fatal(err error) {

@@ -54,15 +54,15 @@ func diffConfigFor(scheme string, n int) *config.Config {
 	return config.ClusteredN(n)
 }
 
-// lockstep is a pipeline tracer that steps a reference emulator once per
-// committed program instruction and checks the commit stream matches it
-// exactly: same dynamic sequence number, same PC, in program order.
+// lockstep steps a reference emulator once per committed program
+// instruction and checks the commit stream matches it exactly: same
+// dynamic sequence number, same PC, in program order.
 type lockstep struct {
 	ref      *emu.Machine
 	divergeA string
 }
 
-func (ls *lockstep) Trace(cycle uint64, ev core.Event, d *core.DynInst) {
+func (ls *lockstep) commit(cycle uint64, ev core.Event, d *core.DynInst) {
 	if ev != core.EvCommit || d.IsCopy || ls.divergeA != "" {
 		return
 	}
@@ -98,9 +98,8 @@ func diffLine(t *testing.T, n int, scheme string, seed int64) string {
 }
 
 // diffLineProbed is diffLine with an extra probe attached alongside the
-// lock-step tracer; TestProbePassivityDifferential uses it to prove the
-// probe stack leaves every digest untouched. A nil extra exercises the
-// legacy SetTracer path (the Tracer→Probe adapter).
+// lock-step checker; TestProbePassivityDifferential uses it to prove the
+// probe stack leaves every digest untouched.
 func diffLineProbed(t *testing.T, n int, scheme string, seed int64, extra core.Probe) string {
 	t.Helper()
 	p := rdg.RandomProgram(seed)
@@ -116,11 +115,7 @@ func diffLineProbed(t *testing.T, n int, scheme string, seed int64, extra core.P
 		t.Fatalf("n=%d %s seed=%d: %v", n, scheme, seed, err)
 	}
 	ls := &lockstep{ref: emu.New(p)}
-	if extra != nil {
-		m.SetProbe(probe.Multi(core.TracerProbe(ls), extra))
-	} else {
-		m.SetTracer(ls)
-	}
+	m.SetProbe(probe.Multi(core.EventProbe(ls.commit), extra))
 	r, err := m.Run(0)
 	if err != nil {
 		t.Fatalf("n=%d %s seed=%d: %v", n, scheme, seed, err)
@@ -130,7 +125,7 @@ func diffLineProbed(t *testing.T, n int, scheme string, seed int64, extra core.P
 	}
 	if !ls.ref.Halted {
 		// Drain the reference to HALT (the machine commits HALT too, so
-		// the tracer should already have consumed the full stream).
+		// the checker should already have consumed the full stream).
 		t.Fatalf("n=%d %s seed=%d: reference emulator not halted after run", n, scheme, seed)
 	}
 	if got, want := m.OracleRegisters(), ls.ref.Reg; got != want {

@@ -7,6 +7,10 @@ import (
 	"repro/internal/isa"
 )
 
+// EventProbe exports the test-local event observer to the core_test
+// suites (the differential harness's lock-step checker).
+type EventProbe = eventProbe
+
 // StepOneCycle advances the machine a single cycle. It exists for the
 // per-cycle benchmark suite and the differential harness (package
 // core_test), which need cycle-grained control that the public Run API

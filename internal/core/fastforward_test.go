@@ -40,7 +40,7 @@ func ffRun(t *testing.T, cfg *config.Config, seed int64, ff bool) ([]ffCommit, *
 	}
 	m.SetFastForward(ff)
 	var commits []ffCommit
-	m.SetTracer(tracerFunc(func(cycle uint64, ev Event, d *DynInst) {
+	m.SetProbe(eventProbe(func(cycle uint64, ev Event, d *DynInst) {
 		if ev == EvCommit && !d.IsCopy {
 			commits = append(commits, ffCommit{cycle: cycle, seq: d.ProgSeq, pc: d.PC})
 		}

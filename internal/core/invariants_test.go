@@ -126,8 +126,8 @@ func TestInFlightNeverExceedsWindow(t *testing.T) {
 	}
 }
 
-// TestIssueWidthRespected verifies per-cluster issue bandwidth using the
-// counting tracer.
+// TestIssueWidthRespected verifies per-cluster issue bandwidth from the
+// issue event stream.
 func TestIssueWidthRespected(t *testing.T) {
 	p := invariantPrograms()["wide"]
 	m, err := New(config.Clustered(), p, &moduloSteerer{})
@@ -135,7 +135,7 @@ func TestIssueWidthRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	perCycle := map[uint64][2]int{}
-	m.SetTracer(tracerFunc(func(cycle uint64, ev Event, d *DynInst) {
+	m.SetProbe(eventProbe(func(cycle uint64, ev Event, d *DynInst) {
 		if ev != EvIssue || d == nil {
 			return
 		}
@@ -160,7 +160,11 @@ func TestIssueWidthRespected(t *testing.T) {
 	}
 }
 
-// tracerFunc adapts a function to the Tracer interface.
-type tracerFunc func(uint64, Event, *DynInst)
+// eventProbe is the core tests' event observer: a function over the
+// pipeline event stream, attached through the probe seam.
+type eventProbe func(uint64, Event, *DynInst)
 
-func (f tracerFunc) Trace(cycle uint64, ev Event, d *DynInst) { f(cycle, ev, d) }
+func (f eventProbe) Fetch(uint64, *FetchInfo)                 {}
+func (f eventProbe) Event(cycle uint64, ev Event, d *DynInst) { f(cycle, ev, d) }
+func (f eventProbe) Steer(*SteerDecision)                     {}
+func (f eventProbe) Cycle(*CycleSample)                       {}

@@ -285,7 +285,7 @@ func (m *Machine) allocDyn() *DynInst {
 }
 
 // freeDyn recycles a committed DynInst. The pointer must not be used after
-// this call (tracers are invoked before commit recycles; see Tracer).
+// this call (probes see a commit before it recycles; see Probe).
 //
 //dca:hotpath
 func (m *Machine) freeDyn(d *DynInst) {

@@ -22,8 +22,8 @@ import (
 // grid run bit-identical with probes attached and detached
 // (TestProbePassivityDifferential, TestGoldenProbeInvariants), which is
 // the enforced form of that contract. internal/probe ships the built-in
-// implementations (cycle attribution, steering forensics, per-cluster
-// timelines, Konata export).
+// implementations (cycle attribution, steering forensics, Konata export
+// and the text pipetrace).
 
 // Probe receives the timing core's introspection stream. Implementations
 // must be fast — the machine calls them inline from the cycle loop — and
@@ -33,7 +33,7 @@ import (
 type Probe interface {
 	// Fetch is called once per instruction entering the decode queue.
 	Fetch(cycle uint64, f *FetchInfo)
-	// Event is called at the pipeline boundaries of trace.go's Event enum:
+	// Event is called at the pipeline boundaries of the Event enum:
 	// dispatch, copy insertion, issue, completion (writeback), commit and
 	// fetch redirect.
 	Event(cycle uint64, ev Event, d *DynInst)
@@ -49,6 +49,44 @@ type Probe interface {
 
 // SetProbe installs (or, with nil, removes) the machine's probe.
 func (m *Machine) SetProbe(p Probe) { m.probe = p }
+
+// Event identifies a pipeline event.
+type Event uint8
+
+const (
+	// EvDispatch is rename+steer placing an instruction in a cluster.
+	EvDispatch Event = iota
+	// EvCopyInserted is the creation of an inter-cluster copy.
+	EvCopyInserted
+	// EvIssue is an instruction leaving an issue queue.
+	EvIssue
+	// EvComplete is a result (or address) becoming available.
+	EvComplete
+	// EvCommit is in-order retirement.
+	EvCommit
+	// EvRedirect is fetch resuming after a resolved misprediction.
+	EvRedirect
+)
+
+// String names the event.
+func (e Event) String() string {
+	switch e {
+	case EvDispatch:
+		return "dispatch"
+	case EvCopyInserted:
+		return "copy"
+	case EvIssue:
+		return "issue"
+	case EvComplete:
+		return "complete"
+	case EvCommit:
+		return "commit"
+	case EvRedirect:
+		return "redirect"
+	default:
+		return fmt.Sprintf("Event(%d)", uint8(e))
+	}
+}
 
 // FetchInfo describes one instruction entering the decode queue.
 type FetchInfo struct {

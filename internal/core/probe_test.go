@@ -15,10 +15,14 @@
 package core_test
 
 import (
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/probe"
 	"repro/internal/rdg"
@@ -27,16 +31,16 @@ import (
 )
 
 // fullProbeStack builds the complete built-in probe complement — cycle
-// attribution, steering forensics, a timeline, and a Konata export into
-// the void — so passivity is proven for all four at once, fanned out
+// attribution, steering forensics, a Konata export and a text pipetrace
+// into the void — so passivity is proven for all four at once, fanned out
 // through Multi.
 func fullProbeStack() (core.Probe, *probe.Attribution) {
 	at := probe.NewAttribution()
 	return probe.Multi(
 		at,
 		&probe.Forensics{},
-		&probe.Timeline{},
 		probe.NewKonata(io.Discard),
+		&probe.Text{W: io.Discard},
 	), at
 }
 
@@ -156,7 +160,7 @@ func TestProbeAttributionSumsToCycles(t *testing.T) {
 // TestProbeDetach verifies the seam can be attached and detached across a
 // run boundary: a detached machine simulates exactly like one that never
 // had a probe (digest equality via the harness covers the behaviour; this
-// covers the nil transitions, including SetTracer's adapter path).
+// covers the nil transition).
 func TestProbeDetach(t *testing.T) {
 	r1, _ := probedRun(t, 2, "general", diffSeeds[0], false)
 
@@ -174,8 +178,7 @@ func TestProbeDetach(t *testing.T) {
 	}
 	at := probe.NewAttribution()
 	m.SetProbe(at)
-	m.SetProbe(nil)  // detach before running: the probe must see nothing
-	m.SetTracer(nil) // nil tracer detaches too (adapter path)
+	m.SetProbe(nil) // detach before running: the probe must see nothing
 	r2, err := m.RunWithWarmup(200, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -185,5 +188,60 @@ func TestProbeDetach(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("detached run diverged from probed run:\n  probed:   %+v\n  detached: %+v", *r1, *r2)
+	}
+}
+
+// pipetrace runs src for max instructions (0 = to HALT) on the paper's
+// machine under the text pipetrace probe and returns what it wrote.
+func pipetrace(t *testing.T, src string, max, from, to uint64) string {
+	t.Helper()
+	p, err := asm.Assemble(t.Name(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.New(config.Clustered(), p, core.NaiveSteerer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	m.SetProbe(&probe.Text{W: &buf, From: from, To: to})
+	if _, err := m.Run(max); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+func TestTextTracerOutput(t *testing.T) {
+	out := pipetrace(t, `
+.text
+  addi r1, r0, 1
+  add  r2, r1, r1
+  halt
+`, 0, 0, 0)
+	for _, want := range []string{"dispatch", "issue", "complete", "commit", "addi r1, r0, 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestTextTracerCycleWindow(t *testing.T) {
+	out := pipetrace(t, `
+.text
+loop:
+  addi r1, r1, 1
+  j loop
+`, 2000, 100, 105)
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if line == "" {
+			continue
+		}
+		var cyc uint64
+		if _, err := fmt.Sscan(line, &cyc); err != nil {
+			t.Fatalf("unparseable trace line %q", line)
+		}
+		if cyc < 100 || cyc > 105 {
+			t.Fatalf("trace line outside window: %q", line)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func wheelMachine(t *testing.T) *Machine {
 // every EvComplete event in delivery order.
 func completionOrder(m *Machine, through uint64) []uint64 {
 	var got []uint64
-	m.SetTracer(tracerFunc(func(cycle uint64, ev Event, d *DynInst) {
+	m.SetProbe(eventProbe(func(cycle uint64, ev Event, d *DynInst) {
 		if ev == EvComplete {
 			got = append(got, d.Seq)
 		}
@@ -33,7 +33,7 @@ func completionOrder(m *Machine, through uint64) []uint64 {
 		m.complete()
 		m.cycle++
 	}
-	m.SetTracer(nil)
+	m.SetProbe(nil)
 	return got
 }
 
@@ -146,7 +146,7 @@ func TestTimingWheelAdversarialSchedules(t *testing.T) {
 
 	scheduled := map[uint64][]uint64{} // completion cycle -> Seqs in schedule order
 	delivered := map[uint64][]uint64{}
-	m.SetTracer(tracerFunc(func(cycle uint64, ev Event, d *DynInst) {
+	m.SetProbe(eventProbe(func(cycle uint64, ev Event, d *DynInst) {
 		if ev == EvComplete {
 			if cycle != d.completeAt {
 				t.Fatalf("event %d delivered at cycle %d, scheduled for %d", d.Seq, cycle, d.completeAt)
@@ -218,7 +218,7 @@ func TestTimingWheelAdversarialSchedules(t *testing.T) {
 		pending -= len(delivered[m.cycle]) - before
 		m.cycle++
 	}
-	m.SetTracer(nil)
+	m.SetProbe(nil)
 
 	for at, want := range scheduled {
 		got := delivered[at]

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/probe"
 )
@@ -43,7 +44,7 @@ func TestGoldenProbeInvariants(t *testing.T) {
 					t.Fatal(err)
 				}
 				at := probe.NewAttribution()
-				probed, err := job.RunProbed(ctx, j, at)
+				probed, err := job.Direct{}.Run(job.WithProbe(ctx, func() core.Probe { return at }), j)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,11 +1,12 @@
 package job
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/job/flight"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -27,24 +28,11 @@ const defaultWarmLimit = 128
 // (benchmark iterations, measurement-window sweeps).
 //
 // The zero value is ready to use and safe for concurrent use; concurrent
-// requests for the same warm key coalesce onto one warm simulation.
+// requests for the same warm key coalesce onto one warm simulation, and
+// the newest defaultWarmLimit snapshots are kept.
 type Checkpointed struct {
-	// Limit caps retained snapshots (oldest evicted first); 0 means
-	// defaultWarmLimit. Set before the first Run.
-	Limit int
-
-	mu      sync.Mutex
-	entries map[string]*warmEntry
-	order   []string
-}
-
-// warmEntry is one warm key's slot: ready closes when the warm phase
-// finished. cp is nil with a nil err when the job's policy cannot be
-// snapshotted — followers fall back to a full Direct run.
-type warmEntry struct {
-	ready chan struct{}
-	cp    *core.Checkpoint
-	err   error
+	limit int // retained snapshots; 0 means defaultWarmLimit (tests lower it)
+	warm  flight.Group[*core.Checkpoint]
 }
 
 // warmKey identifies a job's warm phase: every field except the
@@ -59,25 +47,38 @@ func (c *Checkpointed) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := warmKey(j)
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[string]*warmEntry)
+	// The leader warms a machine exactly as Direct does and measures it
+	// directly; the snapshot is for the followers. A nil snapshot means
+	// the job's policy cannot be snapshotted. The snapshot (or the warm
+	// error) is deterministic, so sharing it preserves bit-identity.
+	var m *core.Machine
+	cp, err := c.warm.Do(ctx, warmKey(j), cmp.Or(c.limit, defaultWarmLimit), func() (*core.Checkpoint, error) {
+		p, err := workload.Load(j.Benchmark)
+		if err != nil {
+			return nil, fmt.Errorf("job: %w", err)
+		}
+		w, err := newMachine(ctx, j, p)
+		if err != nil {
+			return nil, err
+		}
+		if err := w.Warm(j.Warmup); err != nil {
+			return nil, runErr(j, err)
+		}
+		m = w
+		cp, _ := w.Checkpoint()
+		return cp, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		switch {
-		case e.err != nil:
-			return nil, e.err
-		case e.cp == nil:
+	if m == nil { // a follower: continue from the leader's snapshot
+		if cp == nil {
 			return Direct{}.Run(ctx, j)
 		}
-		m := e.cp.Restore()
-		if m == nil {
+		if m = cp.Restore(); m == nil {
 			return nil, fmt.Errorf("job: %s/%s: checkpoint no longer restorable", j.Scheme, j.Benchmark)
 		}
-		if src := oracleSourceFrom(ctx); src != nil {
+		if src := envFrom(ctx).oracle; src != nil {
 			// The snapshot's oracle is the leader's: over a recorded trace
 			// it reaches only the leader's window plus the fetch-ahead
 			// bound, and this follower may measure further. Continue the
@@ -90,63 +91,6 @@ func (c *Checkpointed) Run(ctx context.Context, j Job) (*stats.Run, error) {
 			}
 			m.ResumeOracle(o)
 		}
-		r, err := m.Measure(j.Measure)
-		if err != nil {
-			return nil, fmt.Errorf("job: %s/%s: %w", j.Scheme, j.Benchmark, err)
-		}
-		r.Scheme = j.Scheme
-		return r, nil
 	}
-	e := &warmEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	limit := c.Limit
-	if limit <= 0 {
-		limit = defaultWarmLimit
-	}
-	if len(c.order) > limit {
-		// Evict the oldest key. Followers already waiting on its entry
-		// hold the pointer and complete normally; later requests re-warm.
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.mu.Unlock()
-
-	m, err := c.warm(ctx, j, e)
-	close(e.ready)
-	if err != nil {
-		return nil, err
-	}
-	// The leader measures its own machine directly — the snapshot is for
-	// the followers.
-	r, err := m.Measure(j.Measure)
-	if err != nil {
-		return nil, fmt.Errorf("job: %s/%s: %w", j.Scheme, j.Benchmark, err)
-	}
-	r.Scheme = j.Scheme
-	return r, nil
-}
-
-// warm builds the job's machine exactly as Direct does, runs the warm
-// phase, and fills the entry with the snapshot (or the error; both are
-// deterministic, so sharing them with followers preserves bit-identity).
-func (c *Checkpointed) warm(ctx context.Context, j Job, e *warmEntry) (*core.Machine, error) {
-	p, err := workload.Load(j.Benchmark)
-	if err != nil {
-		e.err = fmt.Errorf("job: %w", err)
-		return nil, e.err
-	}
-	m, err := newMachine(ctx, j, p)
-	if err != nil {
-		e.err = err
-		return nil, err
-	}
-	if err := m.Warm(j.Warmup); err != nil {
-		e.err = fmt.Errorf("job: %s/%s: %w", j.Scheme, j.Benchmark, err)
-		return nil, e.err
-	}
-	if cp, ok := m.Checkpoint(); ok {
-		e.cp = cp
-	}
-	return m, nil
+	return measure(m, j)
 }

@@ -2,8 +2,12 @@ package job
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // cpJobs builds a small spread of cells that exercises the warm-cache
@@ -88,16 +92,16 @@ func TestCheckpointedWarmReuse(t *testing.T) {
 			t.Errorf("measure=%d: digest %s, direct %s", measure, got, want)
 		}
 	}
-	if len(c.entries) != 1 {
-		t.Errorf("sweep retained %d warm entries, want 1", len(c.entries))
+	if n := c.warm.Len(); n != 1 {
+		t.Errorf("sweep retained %d warm entries, want 1", n)
 	}
 }
 
-// TestCheckpointedEviction runs a working set larger than Limit so every
-// job's snapshot is evicted before its rerun; correctness (bit-identity)
-// must survive the re-warms.
+// TestCheckpointedEviction runs a working set larger than the retention
+// limit so every job's snapshot is evicted before its rerun; correctness
+// (bit-identity) must survive the re-warms.
 func TestCheckpointedEviction(t *testing.T) {
-	c := &Checkpointed{Limit: 1}
+	c := &Checkpointed{limit: 1}
 	jobs := cpJobs(t)[:3]
 	want := make([]string, len(jobs))
 	for i, j := range jobs {
@@ -114,8 +118,8 @@ func TestCheckpointedEviction(t *testing.T) {
 			}
 		}
 	}
-	if len(c.entries) != 1 || len(c.order) != 1 {
-		t.Errorf("retained %d entries / %d order slots, want 1/1", len(c.entries), len(c.order))
+	if n := c.warm.Len(); n != 1 {
+		t.Errorf("retained %d warm entries, want 1", n)
 	}
 }
 
@@ -154,8 +158,56 @@ func TestCheckpointedConcurrent(t *testing.T) {
 			t.Errorf("worker %d: digest %s, direct %s", w, digests[w], want)
 		}
 	}
-	if len(c.entries) != 1 {
-		t.Errorf("%d warm entries after coalesced runs, want 1", len(c.entries))
+	if n := c.warm.Len(); n != 1 {
+		t.Errorf("%d warm entries after coalesced runs, want 1", n)
+	}
+}
+
+// TestCheckpointedFollowerHonorsContext: a follower waiting on a leader's
+// warm phase returns when its own context ends, as store.Cached followers
+// do, while the leader carries on.
+func TestCheckpointedFollowerHonorsContext(t *testing.T) {
+	j := cpJobs(t)[0]
+	c := &Checkpointed{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	releaseLeader := sync.OnceFunc(func() { close(release) })
+	defer releaseLeader()
+	// The leader's machine blocks in its oracle source until released.
+	lctx := WithOracle(context.Background(), func() (core.Oracle, error) {
+		close(entered)
+		<-release
+		return nil, nil
+	})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Run(lctx, j)
+		leader <- err
+	}()
+	<-entered
+
+	fctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	follower := make(chan error, 1)
+	go func() {
+		_, err := c.Run(fctx, j)
+		follower <- err
+	}()
+	select {
+	case err := <-follower:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("follower: %v, want its own deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower ignored its context while the leader warmed")
+	}
+	select {
+	case err := <-leader:
+		t.Fatalf("leader returned (%v) before its warm phase was released", err)
+	default:
+	}
+	releaseLeader()
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
 	}
 }
 

@@ -10,47 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// The probe seam of the job layer, mirroring the oracle-source seam: a
-// probe source travels through the context from a wrapping caller to
-// whichever machine-building runner sits below (Direct, Checkpointed's
-// warm phase), so probed runs travel exactly the code path unprobed runs
-// do. Probes are observability only — they never feed the result or its
-// digest — so a probed run's stats.Run is bit-identical to an unprobed
-// one's.
-
-// probeSource builds the probe for one machine. Runners that construct
-// machines call it once per machine they build; a run that retries (a
-// traced run extending an exhausted recording builds a fresh machine)
-// therefore gets a fresh probe each time, and only the machine that
-// produced the returned result keeps the last one. Sources must return a
-// new probe per call — reusing one across machines double-counts.
-type probeSource func() core.Probe
-
-// probeSourceKey carries the source through the context.
-type probeSourceKey struct{}
-
-// WithProbe returns ctx with src as the probe source for every machine a
-// runner below builds. See probeSource for the fresh-probe contract;
-// note that Checkpointed's restored machines inherit the warm machine's
-// probe (the clone carries the pointer), so per-measure probing there
-// needs a fresh warm phase.
-func WithProbe(ctx context.Context, src func() core.Probe) context.Context {
-	return context.WithValue(ctx, probeSourceKey{}, probeSource(src))
-}
-
-// probeFrom extracts the probe source, nil when the context carries none.
-func probeFrom(ctx context.Context) probeSource {
-	src, _ := ctx.Value(probeSourceKey{}).(probeSource)
-	return src
-}
-
-// RunProbed runs the job on a fresh machine with p attached. The result
-// is bit-identical to an unprobed Direct run of the same job; p is left
-// holding whatever it accumulated.
-func RunProbed(ctx context.Context, j Job, p core.Probe) (*stats.Run, error) {
-	return Direct{}.Run(WithProbe(ctx, func() core.Probe { return p }), j)
-}
-
 // RunWithAttribution runs the job with a cycle-attribution probe attached
 // and returns the measurement record alongside its stall-taxonomy report.
 // The report rides next to the result, never inside it: the run and its

@@ -23,7 +23,7 @@ type Runner interface {
 // the Measure window, not the context).
 type Direct struct{}
 
-// Run executes the job and returns its measurement record.
+// Run loads the job's workload and executes it with RunProgram.
 func (Direct) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -32,14 +32,5 @@ func (Direct) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job: %w", err)
 	}
-	m, err := newMachine(ctx, j, p)
-	if err != nil {
-		return nil, err
-	}
-	r, err := m.RunWithWarmup(j.Warmup, j.Measure)
-	if err != nil {
-		return nil, fmt.Errorf("job: %s/%s: %w", j.Scheme, j.Benchmark, err)
-	}
-	r.Scheme = j.Scheme
-	return r, nil
+	return RunProgram(ctx, j, p)
 }

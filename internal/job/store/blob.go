@@ -1,8 +1,7 @@
 package store
 
 import (
-	"fmt"
-	"os"
+	"bytes"
 	"path/filepath"
 )
 
@@ -30,37 +29,16 @@ func blobKey(key string) string { return "blob:" + key }
 // GetBlob implements BlobStore. Blobs share the LRU with results: a hot
 // trace keeps itself resident exactly like a hot cell.
 func (m *Memory) GetBlob(key string) ([]byte, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[blobKey(key)]
+	raw, ok := m.get(blobKey(key))
 	if !ok {
 		return nil, false, nil
 	}
-	m.order.MoveToFront(el)
-	raw := el.Value.(*memEntry).raw
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out, true, nil
+	return bytes.Clone(raw), true, nil
 }
 
 // PutBlob implements BlobStore.
 func (m *Memory) PutBlob(key string, raw []byte) error {
-	cp := make([]byte, len(raw))
-	copy(cp, raw)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := blobKey(key)
-	if el, ok := m.entries[k]; ok {
-		el.Value.(*memEntry).raw = cp
-		m.order.MoveToFront(el)
-		return nil
-	}
-	m.entries[k] = m.order.PushFront(&memEntry{key: k, raw: cp})
-	if m.max > 0 && m.order.Len() > m.max {
-		last := m.order.Back()
-		m.order.Remove(last)
-		delete(m.entries, last.Value.(*memEntry).key)
-	}
+	m.put(blobKey(key), bytes.Clone(raw))
 	return nil
 }
 
@@ -81,41 +59,17 @@ func (d *Disk) GetBlob(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	return raw, true, nil
+	return read(p)
 }
 
-// PutBlob implements BlobStore with the same atomic temp-file + rename
-// protocol as Put: no reader ever observes a truncated blob.
+// PutBlob implements BlobStore with the same atomic write as Put: no
+// reader ever observes a truncated blob.
 func (d *Disk) PutBlob(key string, raw []byte) error {
 	p, err := d.blobPath(key)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(d.dir, "put-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return d.write(p, raw)
 }
 
 // BlobLen reports the number of blobs on disk.

@@ -2,10 +2,10 @@ package store
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/job"
+	"repro/internal/job/flight"
 	"repro/internal/stats"
 )
 
@@ -32,16 +32,7 @@ type Cached struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	coal   atomic.Uint64
-
-	mu       sync.Mutex
-	inflight map[string]*call
-}
-
-// call is one in-flight simulation; followers wait on done.
-type call struct {
-	done chan struct{}
-	r    *stats.Run
-	err  error
+	flight flight.Group[*stats.Run] // in-flight runs only: the store keeps results
 }
 
 // NewCached returns a Cached runner over s; next nil means job.Direct{}.
@@ -49,7 +40,7 @@ func NewCached(s Store, next job.Runner) *Cached {
 	if next == nil {
 		next = job.Direct{}
 	}
-	return &Cached{store: s, next: next, inflight: make(map[string]*call)}
+	return &Cached{store: s, next: next}
 }
 
 // Metrics returns the traffic counters so far.
@@ -79,9 +70,8 @@ func (c *Cached) Run(ctx context.Context, j job.Job) (*stats.Run, error) {
 }
 
 // RunWithOutcome is Run plus how the submission was satisfied (cmd/dcaserve
-// reports it to clients). The mutex guards only the in-flight map — store
-// I/O happens outside it, so concurrent submissions never queue behind a
-// disk read.
+// reports it to clients). Store I/O happens outside the coalescing group's
+// lock, so concurrent submissions never queue behind a disk read.
 func (c *Cached) RunWithOutcome(ctx context.Context, j job.Job) (*stats.Run, Outcome, error) {
 	key := j.Key()
 	// A store read error (e.g. a corrupt disk entry) is treated as a
@@ -93,56 +83,39 @@ func (c *Cached) RunWithOutcome(ctx context.Context, j job.Job) (*stats.Run, Out
 		return r, OutcomeHit, nil
 	}
 
-	c.mu.Lock()
-	if cl, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-cl.done:
-			if cl.err != nil {
-				return nil, OutcomeCoalesced, cl.err
-			}
-			c.coal.Add(1)
-			return cl.r, OutcomeCoalesced, nil
-		case <-ctx.Done():
-			return nil, OutcomeCoalesced, ctx.Err()
+	// Only the leader runs the function below, so a call that never sets
+	// out shared an identical submission's result.
+	out := OutcomeCoalesced
+	r, err := c.flight.Do(ctx, key, 0, func() (*stats.Run, error) {
+		// Now that we lead, re-check the store: a previous leader may have
+		// finished (Put + deregistered) between our miss above and our
+		// registration, and simulating here would redo a cached cell. Any
+		// followers attached meanwhile share whatever this finds; read
+		// errors again degrade to a miss.
+		if r, ok, err := c.store.Get(key); err == nil && ok {
+			c.hits.Add(1)
+			out = OutcomeHit
+			return r, nil
 		}
+		// The leader simulates detached from its own caller's context: its
+		// result is shared with coalesced followers (and the store), so one
+		// caller hanging up must not poison everyone else with its
+		// cancellation. Followers still honor their own contexts while
+		// waiting, and batch runners gate on the context before
+		// dispatching.
+		c.misses.Add(1)
+		out = OutcomeSimulated
+		r, err := c.next.Run(context.WithoutCancel(ctx), j)
+		if err == nil {
+			// Caching is best-effort, like the read path: a full disk or
+			// broken backend must not discard a successfully computed
+			// result (it only costs the reuse).
+			_ = c.store.Put(key, r)
+		}
+		return r, err
+	})
+	if out == OutcomeCoalesced && err == nil {
+		c.coal.Add(1)
 	}
-	cl := &call{done: make(chan struct{})}
-	c.inflight[key] = cl
-	c.mu.Unlock()
-
-	finish := func(r *stats.Run, err error) {
-		cl.r, cl.err = r, err
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(cl.done)
-	}
-
-	// Now that we lead, re-check the store: a previous leader may have
-	// finished (Put + deregistered) between our miss above and our
-	// registration, and simulating here would redo a cached cell. Any
-	// followers attached meanwhile share whatever this finds; read errors
-	// again degrade to a miss.
-	if r, ok, err := c.store.Get(key); err == nil && ok {
-		c.hits.Add(1)
-		finish(r, nil)
-		return r, OutcomeHit, nil
-	}
-
-	// The leader simulates detached from its own caller's context: its
-	// result is shared with coalesced followers (and the store), so one
-	// caller hanging up must not poison everyone else with its
-	// cancellation. Followers still honor their own contexts while
-	// waiting, and batch runners gate on the context before dispatching.
-	c.misses.Add(1)
-	r, err := c.next.Run(context.WithoutCancel(ctx), j)
-	if err == nil {
-		// Caching is best-effort, like the read path: a full disk or
-		// broken backend must not discard a successfully computed result
-		// (it only costs the reuse).
-		_ = c.store.Put(key, r)
-	}
-	finish(r, err)
-	return r, OutcomeSimulated, err
+	return r, out, err
 }

@@ -42,12 +42,9 @@ func (d *Disk) Get(key string) (*stats.Run, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
+	raw, ok, err := read(p)
+	if !ok || err != nil {
+		return nil, false, err
 	}
 	r, err := decode(raw)
 	if err != nil {
@@ -66,20 +63,36 @@ func (d *Disk) Put(key string, r *stats.Run) error {
 	if err != nil {
 		return err
 	}
+	return d.write(p, raw)
+}
+
+// read returns the file's bytes; a missing file is a miss, not an error.
+func read(p string) ([]byte, bool, error) {
+	raw, err := os.ReadFile(p)
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("store: %w", err)
+	}
+	return raw, true, nil
+}
+
+// write replaces the file at p with raw atomically: the bytes go to a
+// temp file in the store's directory, which is then renamed over p.
+func (d *Disk) write(p string, raw []byte) error {
 	tmp, err := os.CreateTemp(d.dir, "put-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	_, err = tmp.Write(raw)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}

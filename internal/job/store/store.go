@@ -77,14 +77,7 @@ func NewMemory(max int) *Memory {
 
 // Get implements Store, marking the entry most recently used.
 func (m *Memory) Get(key string) (*stats.Run, bool, error) {
-	m.mu.Lock()
-	el, ok := m.entries[key]
-	var raw []byte
-	if ok {
-		m.order.MoveToFront(el)
-		raw = el.Value.(*memEntry).raw
-	}
-	m.mu.Unlock()
+	raw, ok := m.get(key)
 	if !ok {
 		return nil, false, nil
 	}
@@ -101,12 +94,33 @@ func (m *Memory) Put(key string, r *stats.Run) error {
 	if err != nil {
 		return err
 	}
+	m.put(key, raw)
+	return nil
+}
+
+// get returns the bytes under key and marks the entry most recently
+// used. Stored bytes are never written again (put replaces the slice), so
+// callers may read them after the lock is released.
+func (m *Memory) get(key string) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[key]
+	if !ok {
+		return nil, false
+	}
+	m.order.MoveToFront(el)
+	return el.Value.(*memEntry).raw, true
+}
+
+// put stores raw under key as the most recently used entry, evicting the
+// least recently used one when full. The LRU owns raw from here on.
+func (m *Memory) put(key string, raw []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.entries[key]; ok {
 		el.Value.(*memEntry).raw = raw
 		m.order.MoveToFront(el)
-		return nil
+		return
 	}
 	m.entries[key] = m.order.PushFront(&memEntry{key: key, raw: raw})
 	if m.max > 0 && m.order.Len() > m.max {
@@ -114,7 +128,6 @@ func (m *Memory) Put(key string, r *stats.Run) error {
 		m.order.Remove(last)
 		delete(m.entries, last.Value.(*memEntry).key)
 	}
-	return nil
 }
 
 // Len implements Store.

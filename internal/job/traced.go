@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/job/flight"
 	"repro/internal/prog"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -51,7 +52,7 @@ var planFetchAhead = core.FetchAheadBound(config.ClusteredN(config.MaxClusters))
 // store the results live in), so later processes skip even the one
 // recording. The zero value is ready to use and safe for concurrent use;
 // concurrent requests for one trace key coalesce onto a single recording,
-// mirroring Checkpointed's warm coalescing.
+// and the newest defaultTraceLimit decoded recordings are kept.
 //
 // Traced composes with the other runners: it delegates execution to Next
 // (default Direct) with the replay source threaded through the context,
@@ -64,22 +65,10 @@ type Traced struct {
 	// Blobs persists encoded recordings across processes; nil records
 	// in-process only. Set before the first Run.
 	Blobs BlobStore
-	// Limit caps retained decoded traces (oldest evicted first); 0 means
-	// defaultTraceLimit. Set before the first Run.
-	Limit int
 
-	mu      sync.Mutex
-	entries map[string]*traceEntry
-	order   []string
+	traces  flight.Group[*trace.Trace]
+	mu      sync.Mutex // guards metrics
 	metrics TracedMetrics
-}
-
-// traceEntry is one trace key's slot: ready closes when the recording
-// (or the blob fetch) finished.
-type traceEntry struct {
-	ready chan struct{}
-	tr    *trace.Trace
-	err   error
 }
 
 // TracedMetrics counts the runner's traffic since creation.
@@ -133,7 +122,7 @@ func (c *Traced) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	// The machine consumes and peeks at no more than window +
 	// FetchAheadBound steps, so a trace that long cannot run dry: a
 	// replay that does anyway returns its error.
-	tr, err := c.traceFor(p, window, key, window+core.FetchAheadBound(j.Config))
+	tr, err := c.traceFor(ctx, p, window, key, window+core.FetchAheadBound(j.Config))
 	if err != nil {
 		return nil, err
 	}
@@ -143,70 +132,25 @@ func (c *Traced) Run(ctx context.Context, j Job) (*stats.Run, error) {
 	c.mu.Unlock()
 
 	src := func() (core.Oracle, error) { return trace.NewReplayer(tr, p) }
-	return c.next().Run(withOracleSource(ctx, src), j)
+	return c.next().Run(WithOracle(ctx, src), j)
 }
 
-// traceFor returns the cached trace for key, recording it (or fetching it
+// traceFor returns the kept trace for key, recording it (or fetching it
 // from the blob store) if absent — coalescing concurrent requests onto one
-// leader. A cached or blob-stored trace shorter than minSteps is treated
-// as absent and replaced by a longer recording, unless it already runs to
-// HALT (a halted trace is the whole program; no extension can lengthen
-// it).
-func (c *Traced) traceFor(p *prog.Program, window uint64, key string, minSteps uint64) (*trace.Trace, error) {
+// leader. A kept trace shorter than minSteps is forgotten and replaced by
+// a longer recording, unless it already runs to HALT (a halted trace is
+// the whole program; no extension can lengthen it). Two callers that
+// outgrow one trace at once may both re-record it: Forget cannot tell the
+// trace a caller saw from a newer one.
+func (c *Traced) traceFor(ctx context.Context, p *prog.Program, window uint64, key string, minSteps uint64) (*trace.Trace, error) {
 	for {
-		c.mu.Lock()
-		if c.entries == nil {
-			c.entries = make(map[string]*traceEntry)
+		tr, err := c.traces.Do(ctx, key, defaultTraceLimit, func() (*trace.Trace, error) {
+			return c.record(p, window, key, minSteps)
+		})
+		if err != nil || tr.Halted || tr.Steps >= minSteps {
+			return tr, err
 		}
-		e, ok := c.entries[key]
-		if ok {
-			c.mu.Unlock()
-			<-e.ready
-			if e.err != nil {
-				return nil, e.err
-			}
-			if e.tr.Halted || e.tr.Steps >= minSteps {
-				return e.tr, nil
-			}
-			// Too short for this caller: retire the entry (one winner) and
-			// loop; the next pass installs a longer recording.
-			c.mu.Lock()
-			if c.entries[key] == e {
-				delete(c.entries, key)
-			}
-			c.mu.Unlock()
-			continue
-		}
-		e = &traceEntry{ready: make(chan struct{})}
-		c.entries[key] = e
-		c.rememberLocked(key)
-		c.mu.Unlock()
-
-		e.tr, e.err = c.record(p, window, key, minSteps)
-		close(e.ready)
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.tr, nil
-	}
-}
-
-// rememberLocked appends key to the eviction order (once) and evicts the
-// oldest entry past the limit. Caller holds c.mu.
-func (c *Traced) rememberLocked(key string) {
-	for _, k := range c.order {
-		if k == key {
-			return
-		}
-	}
-	c.order = append(c.order, key)
-	limit := c.Limit
-	if limit <= 0 {
-		limit = defaultTraceLimit
-	}
-	if len(c.order) > limit {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
+		c.traces.Forget(key)
 	}
 }
 

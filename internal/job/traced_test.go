@@ -3,6 +3,7 @@ package job
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -324,9 +325,12 @@ func TestTracedComposesWithCheckpointed(t *testing.T) {
 			}
 		}
 	}
-	for key, e := range cp.entries {
-		if e.cp == nil && e.err == nil {
-			t.Errorf("warm key %s: replayed machine was not snapshottable", key)
+	for _, j := range cpJobs(t) {
+		snap, err := cp.warm.Do(context.Background(), warmKey(j), defaultWarmLimit, func() (*core.Checkpoint, error) {
+			return nil, fmt.Errorf("warm key of %s/%s not kept", j.Scheme, j.Benchmark)
+		})
+		if err != nil || snap == nil {
+			t.Errorf("%s/%s: replayed machine was not snapshotted (%v)", j.Scheme, j.Benchmark, err)
 		}
 	}
 }
@@ -354,7 +358,7 @@ func TestTracedCheckpointedWindowSweep(t *testing.T) {
 			}
 		}
 	}
-	if n := len(cp.entries); n != 2 {
+	if n := cp.warm.Len(); n != 2 {
 		t.Errorf("%d warm snapshots, want one per benchmark", n)
 	}
 	if m := c.Metrics(); m.Recordings != 6 || m.Extensions != 0 || m.LiveFallbacks != 0 {

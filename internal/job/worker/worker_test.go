@@ -106,6 +106,24 @@ func (s slowRunner) Run(ctx context.Context, j job.Job) (*stats.Run, error) {
 	return job.Direct{}.Run(ctx, j)
 }
 
+// start runs the fleet until the returned stop is called; stop cancels
+// the context and waits for Run to return. Run drains its loops, so every
+// job's completion or failure is counted in Metrics once stop returns.
+func start(t *testing.T, f *Fleet) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); f.Run(ctx) }()
+	return func() {
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run did not return after cancel")
+		}
+	}
+}
+
 // waitFor polls cond until true or the deadline.
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {
 	t.Helper()
@@ -137,15 +155,14 @@ func TestWorkerCompletesAndHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go f.Run(ctx)
+	stop := start(t, f)
 
 	waitFor(t, 5*time.Second, func() bool {
 		stub.mu.Lock()
 		defer stub.mu.Unlock()
 		return len(stub.completes) == 1
 	}, "completion upload")
-	cancel()
+	stop()
 
 	stub.mu.Lock()
 	defer stub.mu.Unlock()
@@ -181,15 +198,14 @@ func TestWorkerHeartbeatsWholeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go f.Run(ctx)
+	stop := start(t, f)
 
 	waitFor(t, 10*time.Second, func() bool {
 		stub.mu.Lock()
 		defer stub.mu.Unlock()
 		return len(stub.completes) == 2
 	}, "both completions")
-	cancel()
+	stop()
 
 	stub.mu.Lock()
 	defer stub.mu.Unlock()
@@ -223,15 +239,14 @@ func TestWorkerNacksFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go f.Run(ctx)
+	stop := start(t, f)
 
 	waitFor(t, 5*time.Second, func() bool {
 		stub.mu.Lock()
 		defer stub.mu.Unlock()
 		return len(stub.nacks) == 1
 	}, "nack")
-	cancel()
+	stop()
 
 	stub.mu.Lock()
 	defer stub.mu.Unlock()
@@ -344,12 +359,9 @@ func TestWorkerSendsClientID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { f.Run(ctx); close(done) }()
+	stop := start(t, f)
 	waitFor(t, 5*time.Second, func() bool { return f.Metrics().Completed == 1 }, "completion")
-	cancel()
-	<-done
+	stop()
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -18,7 +18,10 @@ package lint
 //     their content must be as reproducible as the digests they ride
 //     alongside).
 //   - lockdiscipline covers the queue and store, whose mutexes every
-//     worker contends on.
+//     worker contends on, and the flight group, whose mutex every
+//     coalesced request passes through (store.Cached, Checkpointed and
+//     Traced all coalesce on it): a blocking call there would stall every
+//     request for every key.
 //   - wirecontract roots are the two digest formats (Job, stats.Run), the
 //     serve/worker wire types, the trace header (trace.Meta — what
 //     dcatrace info prints and tools parse), and the attribution report
@@ -59,6 +62,7 @@ func DefaultAnalyzers() []*Analyzer {
 		}),
 		NewLockDiscipline(LockDisciplineConfig{
 			Packages: []string{
+				"repro/internal/job/flight",
 				"repro/internal/job/queue",
 				"repro/internal/job/store",
 			},

@@ -1,8 +1,7 @@
 // Package probe implements the built-in probes for the timing core's
 // introspection seam (core.Probe): cycle attribution against a stall
 // taxonomy, steering forensics with a scheme×scheme disagreement matrix,
-// per-cluster timelines under a fixed bucket budget, and Konata
-// pipeline-trace export.
+// Konata pipeline-trace export, and the text pipetrace.
 //
 // Every probe here is passive: it copies what it keeps out of the seam's
 // reused buffers and never feeds anything back into the simulation. The

@@ -125,38 +125,6 @@ func TestKonataWindow(t *testing.T) {
 	}
 }
 
-// TestTimelineBudgetAndCoverage runs the downsampler over a real run and
-// checks its two contracts: the series never exceeds the budget, and the
-// buckets tile the run — consecutive, non-overlapping, and summing to the
-// number of sampled cycles.
-func TestTimelineBudgetAndCoverage(t *testing.T) {
-	tl := &probe.Timeline{MaxBuckets: 16}
-	cycles := runProbed(t, 9, tl)
-	series := tl.Series()
-	if len(series) == 0 {
-		t.Fatal("timeline is empty")
-	}
-	if len(series) > 16 {
-		t.Fatalf("timeline holds %d buckets, budget is 16", len(series))
-	}
-	var covered uint64
-	for i, b := range series {
-		if b.Cycles == 0 {
-			t.Fatalf("bucket %d is empty", i)
-		}
-		if i > 0 {
-			prev := series[i-1]
-			if b.Start != prev.Start+prev.Cycles {
-				t.Fatalf("bucket %d starts at %d, previous ends at %d", i, b.Start, prev.Start+prev.Cycles)
-			}
-		}
-		covered += b.Cycles
-	}
-	if covered != cycles {
-		t.Fatalf("buckets cover %d cycles, run sampled %d", covered, cycles)
-	}
-}
-
 // TestForensicsRecords checks the steering log: every decision is counted
 // under exactly one reason, the choice stream is decision-aligned, and the
 // detailed records respect their cap.

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/isa"
 )
@@ -404,4 +405,13 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
+}
+
+func sortedLabelNames(m map[string]int) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
