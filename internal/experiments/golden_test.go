@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,10 +38,18 @@ func goldenSchemes() []string {
 // testdata/golden_n2.txt (captured from the pre-generalization two-cluster
 // simulator and re-pinned across the allocation-free hot-loop rewrite and
 // the job-layer refactor).
+//
+// The steering split lists every cluster's count, and at least two (a
+// single-cluster machine prints its empty second cluster), so the
+// two-cluster file reads exactly as it did when the field had two slots.
 func formatGoldenRun(scheme, bench string, r *stats.Run) string {
-	return fmt.Sprintf("%s/%s cycles=%d instrs=%d copies=%d critcopies=%d steered=%d,%d repl=%.6f mispred=%d branches=%d l1d=%.6f l1i=%.6f balsamples=%d balbuckets=%v",
+	steered := make([]string, max(2, len(r.Steered)))
+	for c := range steered {
+		steered[c] = strconv.FormatUint(r.SteeredAt(c), 10)
+	}
+	return fmt.Sprintf("%s/%s cycles=%d instrs=%d copies=%d critcopies=%d steered=%s repl=%.6f mispred=%d branches=%d l1d=%.6f l1i=%.6f balsamples=%d balbuckets=%v",
 		scheme, bench, r.Cycles, r.Instructions, r.Copies, r.CriticalCopies,
-		r.SteeredAt(0), r.SteeredAt(1), r.ReplicatedRegsAvg, r.Mispredicts, r.Branches,
+		strings.Join(steered, ","), r.ReplicatedRegsAvg, r.Mispredicts, r.Branches,
 		r.L1DMissRate, r.L1IMissRate, r.Balance.Samples, r.Balance.Buckets)
 }
 
@@ -63,14 +72,41 @@ func goldenLine(scheme, bench string, opts Options, t *testing.T) string {
 // path, however small, fails this test. Regenerate deliberately with
 // `go test ./internal/experiments -run TestGolden -update`.
 func TestGoldenTwoClusterBitIdentity(t *testing.T) {
-	opts := goldenOpts()
+	checkGoldenGrid(t, "testdata/golden_n2.txt", goldenSchemes(), goldenOpts())
+}
 
+// TestGoldenNClusterBitIdentity extends the lock to the generalized
+// machine: every registered scheme on the same two benchmarks and windows,
+// steering a symmetric 4- and 8-cluster machine (config.ClusteredN). The
+// differential harness's random programs reach a few thousand
+// instructions at most; these cells pin the N-way balance machinery on
+// real workloads, with every cluster's steered count in each record.
+// Regenerate deliberately with `go test ./internal/experiments -run
+// TestGolden -update`.
+func TestGoldenNClusterBitIdentity(t *testing.T) {
+	names := steer.Names()
+	sort.Strings(names)
+	for _, n := range []int{4, 8} {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			opts := goldenOpts()
+			opts.Clusters = n
+			checkGoldenGrid(t, fmt.Sprintf("testdata/golden_n%d.txt", n), names, opts)
+		})
+	}
+}
+
+// checkGoldenGrid verifies (or, under -update, rewrites) the golden file
+// at path for the schemes × opts.Benchmarks grid. Verification is
+// followed by a completeness gate: a steering scheme registered without
+// golden coverage would silently escape the bit-identity lock.
+func checkGoldenGrid(t *testing.T, path string, schemes []string, opts Options) {
+	t.Helper()
 	if *updateGolden {
-		f, err := os.Create("testdata/golden_n2.txt")
+		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, scheme := range goldenSchemes() {
+		for _, scheme := range schemes {
 			for _, bench := range opts.Benchmarks {
 				fmt.Fprintln(f, goldenLine(scheme, bench, opts, t))
 			}
@@ -80,24 +116,20 @@ func TestGoldenTwoClusterBitIdentity(t *testing.T) {
 		}
 		return
 	}
-
-	covered := verifyGoldenFile(t, opts)
-
-	// Completeness gate: a steering scheme registered without golden
-	// coverage would silently escape the bit-identity lock.
-	for _, scheme := range goldenSchemes() {
+	covered := verifyGoldenFile(t, path, opts)
+	for _, scheme := range schemes {
 		if !covered[scheme] {
-			t.Errorf("scheme %q has no golden coverage (rerun with -update)", scheme)
+			t.Errorf("scheme %q has no golden coverage in %s (rerun with -update)", scheme, path)
 		}
 	}
 }
 
-// verifyGoldenFile replays every cell recorded in testdata/golden_n2.txt
+// verifyGoldenFile replays every cell recorded in the golden file at path
 // under opts and requires each rendered record to match byte for byte. It
 // returns the set of schemes the file covered.
-func verifyGoldenFile(t *testing.T, opts Options) map[string]bool {
+func verifyGoldenFile(t *testing.T, path string, opts Options) map[string]bool {
 	t.Helper()
-	f, err := os.Open("testdata/golden_n2.txt")
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +174,7 @@ func TestGoldenCheckpointedRunner(t *testing.T) {
 	}
 	opts := goldenOpts()
 	opts.Runner = &job.Checkpointed{}
-	verifyGoldenFile(t, opts)
+	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
 }
 
 // TestGoldenTracedRunner replays the full golden grid through the
@@ -161,7 +193,7 @@ func TestGoldenTracedRunner(t *testing.T) {
 
 	cold := &job.Traced{Blobs: blobs}
 	opts.Runner = cold
-	verifyGoldenFile(t, opts)
+	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
 	m := cold.Metrics()
 	// One recording per benchmark of the grid — the amortization the
 	// layer exists for — and no cell may outrun the slack margin (a
@@ -175,7 +207,7 @@ func TestGoldenTracedRunner(t *testing.T) {
 
 	warm := &job.Traced{Blobs: blobs}
 	opts.Runner = warm
-	verifyGoldenFile(t, opts)
+	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
 	if m := warm.Metrics(); m.Recordings != 0 || m.BlobHits != uint64(len(opts.Benchmarks)) {
 		t.Errorf("store-warm grid metrics %+v, want 0 recordings and %d blob hits", m, len(opts.Benchmarks))
 	}
@@ -183,5 +215,5 @@ func TestGoldenTracedRunner(t *testing.T) {
 	// The composed stack — traces over warm snapshots — is the production
 	// configuration (dcabench -traced -store); it must hold the same line.
 	opts.Runner = &job.Traced{Next: &job.Checkpointed{}, Blobs: blobs}
-	verifyGoldenFile(t, opts)
+	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
 }
