@@ -82,8 +82,8 @@ func (c *Checkpoint) Measure(measure uint64) (*stats.Run, error) {
 }
 
 // clone deep-copies the machine. The configuration, program and the
-// derived forcedByPC table are shared (immutable after construction); the
-// probe is carried as-is (a probe observing both machines is the
+// derived per-PC decode table are shared (immutable after construction);
+// the probe is carried as-is (a probe observing both machines is the
 // caller's choice). Everything else — including every live DynInst and the
 // intrusive pointers between them — is duplicated so the two machines
 // share no mutable state.
@@ -127,11 +127,13 @@ func (m *Machine) clone() (*Machine, bool) {
 	c.btb = m.btb.Clone()
 	c.ras = m.ras.Clone()
 
-	// Pass 1: duplicate every live DynInst, recording the translation.
+	// Pass 1: duplicate every live DynInst, recording the translation. The
+	// copies and the recycle pool below share one backing array.
+	slab := make([]DynInst, m.robLen+len(m.dynPool))
 	remap := make(map[*DynInst]*DynInst, m.robLen)
 	for i := 0; i < m.robLen; i++ {
 		old := m.robAt(i)
-		nd := new(DynInst)
+		nd := &slab[i]
 		*nd = *old
 		remap[old] = nd
 	}
@@ -196,14 +198,15 @@ func (m *Machine) clone() (*Machine, bool) {
 	}
 
 	// The recycle pool's entries carry no live state (allocDyn overwrites
-	// wholesale); refill with fresh ones to keep the pool size, which is
-	// what makes the steady state allocation-free.
+	// wholesale); refill with fresh ones, keeping the pool's size and
+	// capacity, which is what makes the steady state allocation-free.
 	c.dynPool = make([]*DynInst, len(m.dynPool), cap(m.dynPool))
 	for i := range c.dynPool {
-		c.dynPool[i] = new(DynInst)
+		c.dynPool[i] = &slab[m.robLen+i]
 	}
 
-	// Per-cycle scratch (empty between cycles; keep the grown capacities).
+	// Per-cycle scratch (empty between cycles; keep the capacities New
+	// sized).
 	c.wakeBuf = make([]wakePair, 0, cap(m.wakeBuf))
 	c.issueBuf = make([]*DynInst, 0, cap(m.issueBuf))
 	c.loadBuf = make([]*DynInst, 0, cap(m.loadBuf))

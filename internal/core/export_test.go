@@ -45,7 +45,7 @@ func checkRegisterConservation(t *testing.T, m *Machine) {
 	for c := 0; c < m.cfg.NumClusters(); c++ {
 		mapped := 0
 		for r := range m.rt.entries {
-			if m.rt.entries[r].valid[c] {
+			if m.rt.entries[r].valid.Has(ClusterID(c)) {
 				mapped++
 			}
 		}

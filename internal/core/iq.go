@@ -166,7 +166,8 @@ func (q *issueQueue) ReadyCount() int { return q.readyCount }
 
 // Issuable appends to buf the instructions eligible for issue selection
 // this cycle, oldest first: ready waiting instructions, restricted to FIFO
-// heads in FIFO mode.
+// heads in FIFO mode. FIFO-mode issue selects from this list; out-of-order
+// issue walks the same candidates in place through readyCursor.
 //
 //dca:hotpath
 func (q *issueQueue) Issuable(buf []*DynInst) []*DynInst {
@@ -190,18 +191,50 @@ func (q *issueQueue) Issuable(buf []*DynInst) []*DynInst {
 		sortBySeq(buf)
 		return buf
 	}
-	// readyCount counts exactly the entries this scan selects, so the walk
-	// can stop once it has found them all — ready instructions cluster
-	// near the front (oldest) of the window, making the early exit the
-	// common case.
-	want := q.readyCount
-	for d := q.qhead; d != nil && want > 0; d = d.nextQ {
-		if d.state == stateWaiting && d.issueReady {
-			buf = append(buf, d)
-			want--
-		}
+	it := q.readyCursor()
+	for d := it.Next(); d != nil; d = it.Next() {
+		buf = append(buf, d)
 	}
 	return buf
+}
+
+// readyCursor walks an out-of-order window's issue candidates — waiting
+// entries whose sources are ready — oldest first, in place. It reads each
+// candidate's successor before handing the candidate out, so the caller
+// may Remove it before asking for the next. readyCount counts exactly the
+// candidates, so the walk stops at the last one instead of running to the
+// window's tail — ready instructions cluster near the front (oldest) of
+// the window, making the early exit the common case.
+type readyCursor struct {
+	next *DynInst
+	left int
+}
+
+// readyCursor starts a walk at the oldest entry of the window.
+//
+//dca:hotpath
+func (q *issueQueue) readyCursor() readyCursor {
+	return readyCursor{next: q.qhead, left: q.readyCount}
+}
+
+// Next returns the next candidate, or nil after the last.
+//
+//dca:hotpath
+func (it *readyCursor) Next() *DynInst {
+	if it.left == 0 {
+		return nil
+	}
+	d := it.next
+	for d != nil && (d.state != stateWaiting || !d.issueReady) {
+		d = d.nextQ
+	}
+	if d == nil {
+		it.left = 0
+		return nil
+	}
+	it.next = d.nextQ
+	it.left--
+	return d
 }
 
 // Remove deletes an issued instruction from the queue structures.
@@ -279,6 +312,17 @@ func (q *issueQueue) wakeReg(p physReg) {
 		}
 		d = next
 	}
+}
+
+// nextWaiterOf follows d's waiter-list link for register p (the slot
+// waiterReg names) without unchaining it; wakeReg's walk unchains.
+//
+//dca:hotpath
+func (d *DynInst) nextWaiterOf(p physReg) *DynInst {
+	if d.waiterReg[0] == p {
+		return d.nextWaiter[0]
+	}
+	return d.nextWaiter[1]
 }
 
 //dca:hotpath

@@ -16,6 +16,12 @@ type lsq struct {
 	cap  int
 	head int
 	n    int
+	// awaiting counts the loads whose address is known and whose access
+	// has not started — the entries ReadyLoads returns — so the memory
+	// stage and fast-forward skip their scans while it is zero. It
+	// changes only where those two flags do (MarkAddrKnown,
+	// MarkAccessed), and a checkpoint's struct copy carries it.
+	awaiting int
 }
 
 func newLSQ(capacity int) *lsq {
@@ -44,12 +50,31 @@ func (q *lsq) Add(d *DynInst) {
 	q.n++
 }
 
-// MarkAddrKnown records that d's effective address is computed.
+// MarkAddrKnown records that d's effective address is computed; a load
+// then awaits its access.
 //
 //dca:hotpath
 func (q *lsq) MarkAddrKnown(d *DynInst) {
 	d.lsqAddrKnown = true
+	if d.isLoad {
+		q.awaiting++
+	}
 }
+
+// MarkAccessed records that load d was sent to the cache or forwarded, so
+// it is not issued twice.
+//
+//dca:hotpath
+func (q *lsq) MarkAccessed(d *DynInst) {
+	d.lsqAccessed = true
+	q.awaiting--
+}
+
+// Awaiting returns the number of loads whose address is known and whose
+// access has not started.
+//
+//dca:hotpath
+func (q *lsq) Awaiting() int { return q.awaiting }
 
 // overlap reports whether two accesses touch a common byte.
 //
@@ -116,6 +141,9 @@ func (q *lsq) ReadyLoads(buf []*DynInst) []*DynInst {
 //
 //dca:hotpath
 func (q *lsq) allBlocked(rf []regFile) bool {
+	if q.awaiting == 0 {
+		return true
+	}
 	for i := 0; i < q.n; i++ {
 		d := q.at(i)
 		if d.isLoad && d.lsqAddrKnown && !d.lsqAccessed && d.state == stateMemWait {

@@ -106,8 +106,10 @@ type Machine struct {
 
 	// wakeBuf collects the registers made ready by this cycle's
 	// completions; the waiter-list walks run after the whole completion
-	// batch (matching the old end-of-batch queue scan, which the
-	// criticality test in noteCopyArrival depends on).
+	// batch (matching the old end-of-batch queue scan). The criticality
+	// test in noteCopyArrival depends on it: it reads the copy's waiter
+	// list, and the pre-wakeup operand state, before the walk unchains
+	// them.
 	wakeBuf []wakePair
 
 	// Per-cycle resource counters.
@@ -118,10 +120,11 @@ type Machine struct {
 	// steering decisions (index = cluster).
 	readySample []int
 
-	// forcedByPC caches forcedCluster per static instruction: the datapath
-	// constraint is a pure function of the instruction and the machine
-	// configuration, so dispatch reads a table instead of re-deriving it.
-	forcedByPC []ClusterID
+	// decoded holds one record per static instruction (see pcDecode):
+	// its sources and datapath constraint are pure functions of the
+	// instruction and the machine configuration, so dispatch reads a
+	// table instead of re-deriving them for every dynamic instance.
+	decoded []pcDecode
 
 	// Measurement state.
 	measuring      bool
@@ -158,6 +161,15 @@ type Machine struct {
 	// fastForward enables event-driven skipping of provably idle cycles
 	// (on by default; see fastforward.go for the no-op predicate).
 	fastForward bool
+}
+
+// pcDecode is the decode record of one static instruction: its register
+// sources (the steering view, copy planning and rename all read them) and
+// forcedCluster's placement constraint.
+type pcDecode struct {
+	srcs   [2]isa.Reg
+	nsrc   int
+	forced ClusterID
 }
 
 // nextPow2 returns the smallest power of two >= n (and >= 1).
@@ -227,18 +239,33 @@ func NewWithOracle(cfg *config.Config, p *prog.Program, st Steerer, o Oracle) (*
 	if err := m.rt.initArchState(m.files); err != nil {
 		return nil, err
 	}
-	// IssueWidth is per-cluster configuration, constant for the machine's
-	// lifetime: fill the reused SteerInfo once instead of per instruction.
-	for c := 0; c < cfg.NumClusters(); c++ {
-		m.steerBuf.IssueWidth[c] = cfg.Clusters[c].IssueWidth
+	// The cluster count is constant for the machine's lifetime: fill the
+	// reused SteerInfo once instead of per instruction.
+	m.steerBuf.NumClusters = cfg.NumClusters()
+	// Size every buffer the cycle loop fills to its structural bound, so
+	// the loop never grows one. Live DynInsts never outnumber the reorder
+	// buffer ring plus dispatch's one in-construction skeleton; the loads
+	// ready for the cache are bounded by the LSQ, one cycle's completions
+	// by the ring, and a FIFO-mode issue selection by the cluster's queue.
+	m.dynPool = newDynPool(len(m.rob) + 1)
+	m.loadBuf = make([]*DynInst, 0, cfg.MaxInFlight)
+	m.wakeBuf = make([]wakePair, 0, len(m.rob))
+	if cfg.Mode == config.IQFIFO {
+		largest := 0
+		for c := range m.iqs {
+			largest = max(largest, m.iqs[c].capacity)
+		}
+		m.issueBuf = make([]*DynInst, 0, largest)
 	}
 	m.l1iLineShift = -1
 	if lb := cfg.Mem.L1I.LineBytes; lb > 0 && lb&(lb-1) == 0 {
 		m.l1iLineShift = int8(bits.TrailingZeros(uint(lb)))
 	}
-	m.forcedByPC = make([]ClusterID, len(p.Text))
+	m.decoded = make([]pcDecode, len(p.Text))
 	for pc, in := range p.Text {
-		m.forcedByPC[pc] = m.forcedCluster(in)
+		dec := &m.decoded[pc]
+		dec.nsrc = len(in.Srcs(dec.srcs[:0]))
+		dec.forced = m.forcedCluster(in)
 	}
 	m.run.Scheme = st.Name()
 	m.run.Benchmark = p.Name
@@ -270,8 +297,20 @@ func (m *Machine) CommittedInstructions() uint64 { return m.committedProg }
 
 // --- Allocation-free plumbing: pools, rings, and the timing wheel ---
 
+// newDynPool returns a recycle pool holding n zeroed DynInsts, carved from
+// one backing array, with room for n.
+func newDynPool(n int) []*DynInst {
+	slab := make([]DynInst, n)
+	pool := make([]*DynInst, n)
+	for i := range slab {
+		pool[i] = &slab[i]
+	}
+	return pool
+}
+
 // allocDyn takes a DynInst from the recycle pool, or the heap when the
-// pool is dry (only before the in-flight population reaches steady state).
+// pool is dry. New sizes the pool to the reorder buffer ring, so the pool
+// runs dry only after a configuration outgrew the ring (robGrow).
 //
 //dca:hotpath
 func (m *Machine) allocDyn() *DynInst {
@@ -280,7 +319,7 @@ func (m *Machine) allocDyn() *DynInst {
 		m.dynPool = m.dynPool[:n-1]
 		return d
 	}
-	//dca:allow(noalloc: pool-dry fallback — runs only while the in-flight population is still growing toward steady state, which TestSteadyStateCycleAllocs pins)
+	//dca:allow(noalloc: pool-dry fallback — New sizes the pool to the reorder buffer ring, so it runs only after robGrow; TestSteadyStateCycleAllocs pins 0 allocations)
 	return new(DynInst)
 }
 
@@ -744,14 +783,15 @@ func (m *Machine) forcedCluster(in isa.Inst) ClusterID {
 //dca:hotpath
 func (m *Machine) nearestIn(s ClusterSet, to ClusterID) ClusterID {
 	best, bestDist := AnyCluster, 0
-	for c := 0; c < m.cfg.NumClusters(); c++ {
-		id := ClusterID(c)
-		if id == to || !s.Has(id) {
-			continue
+	// Visit only the set's members, in ascending index order.
+	for rest := uint8(s &^ ClusterSet(0).Add(to)); rest != 0; rest &= rest - 1 {
+		c := bits.TrailingZeros8(rest)
+		if c >= m.cfg.NumClusters() {
+			break
 		}
 		d := m.cfg.CopyLatencyBetween(c, int(to))
 		if best == AnyCluster || d < bestDist {
-			best, bestDist = id, d
+			best, bestDist = ClusterID(c), d
 		}
 	}
 	return best
@@ -789,8 +829,8 @@ func (m *Machine) fifoCluster(fi *fetched, forced, fallback ClusterID) ClusterID
 			n++
 		}
 	}
-	var srcsBuf [2]isa.Reg
-	srcs := fi.step.Inst.Srcs(srcsBuf[:0])
+	dec := &m.decoded[fi.step.PC]
+	srcs := dec.srcs[:dec.nsrc]
 	for i := 0; i < n; i++ {
 		c := allowed[i]
 		q := &m.iqs[c]
@@ -853,7 +893,7 @@ func (m *Machine) resolveTarget(fi *fetched) ClusterID {
 		}
 	}
 	if m.cfg.Mode == config.IQFIFO {
-		target = m.fifoCluster(fi, m.forcedByPC[fi.step.PC], target)
+		target = m.fifoCluster(fi, m.decoded[fi.step.PC].forced, target)
 	}
 	return target
 }
@@ -868,10 +908,10 @@ func (m *Machine) resolveTarget(fi *fetched) ClusterID {
 //
 //dca:hotpath
 func (m *Machine) planCopies(fi *fetched, target ClusterID) (plans [2]copyPlan, nPlans int, err error) {
-	var srcs [2]isa.Reg
-	nsrc := len(fi.step.Inst.Srcs(srcs[:0]))
+	dec := &m.decoded[fi.step.PC]
+	srcs := &dec.srcs
 planSrcs:
-	for i := 0; i < nsrc; i++ {
+	for i := 0; i < dec.nsrc; i++ {
 		if _, ok := m.rt.lookup(srcs[i], target); ok {
 			continue
 		}
@@ -911,13 +951,17 @@ func (m *Machine) dispatchBlocked(fi *fetched, target ClusterID, plans *[2]copyP
 	if m.files[target].FreeCount() < nPlans+1 {
 		return true
 	}
-	var iqNeed [config.MaxClusters]int
-	iqNeed[target]++
-	for j := 0; j < nPlans; j++ {
-		iqNeed[plans[j].from]++
+	// Queue slots: one in the target, and one per copy in its source
+	// cluster (never the target) — two when both copies leave the same one.
+	if m.iqs[target].Free() < 1 {
+		return true
 	}
-	for c := 0; c < m.cfg.NumClusters(); c++ {
-		if need := iqNeed[c]; need > 0 && m.iqs[c].Free() < need {
+	for j := 0; j < nPlans; j++ {
+		need := 1
+		if nPlans == 2 && plans[0].from == plans[1].from {
+			need = 2
+		}
+		if m.iqs[plans[j].from].Free() < need {
 			return true
 		}
 	}
@@ -936,12 +980,13 @@ func (m *Machine) dispatch() error {
 			return nil
 		}
 		in := fi.step.Inst
-		forced := m.forcedByPC[fi.step.PC]
+		dec := &m.decoded[fi.step.PC]
+		forced := dec.forced
 
 		// Build the steering view and consult the policy for every
 		// program instruction (it maintains its tables in decode order).
 		if !fi.steered {
-			info := m.steerInfo(fi, forced)
+			info := m.steerInfo(fi, dec)
 			policy := m.steerer.Steer(info)
 			target := policy
 			if forced != AnyCluster {
@@ -987,17 +1032,15 @@ func (m *Machine) dispatch() error {
 			}
 		}
 		// Rename sources in the target cluster.
-		var srcs [2]isa.Reg
-		nsrc := len(in.Srcs(srcs[:0]))
-		for i := 0; i < nsrc; i++ {
-			p, ok := m.rt.lookup(srcs[i], target)
+		for i := 0; i < dec.nsrc; i++ {
+			p, ok := m.rt.lookup(dec.srcs[i], target)
 			if !ok {
-				return fmt.Errorf("core: source %v unmapped after copy insertion", srcs[i])
+				return fmt.Errorf("core: source %v unmapped after copy insertion", dec.srcs[i])
 			}
 			d.srcPhys[i] = p
 			d.srcReady[i] = m.files[target].Ready(p)
 		}
-		d.numSrcs = nsrc
+		d.numSrcs = dec.nsrc
 		// FIFO placement is decided before the destination rename so a
 		// stall here leaves the map table untouched.
 		if m.cfg.Mode == config.IQFIFO {
@@ -1016,7 +1059,7 @@ func (m *Machine) dispatch() error {
 			}
 			d.destPhys = p
 			d.destLogical = dst
-			d.prevMapping, d.prevMask = m.rt.redefine(dst, target, p)
+			d.prevMask = m.rt.redefine(dst, target, p, &d.prevMapping)
 		}
 		if in.Op.IsMem() {
 			m.ldst.Add(d)
@@ -1050,7 +1093,6 @@ func (m *Machine) newDynInst(fi *fetched) *DynInst {
 	d.PC = st.PC
 	d.Inst = in
 	d.destPhys = noPhys
-	d.prevMapping = noPrevMapping()
 	d.isLoad = in.Op.IsLoad()
 	d.isStore = in.Op.IsStore()
 	d.memAddr = st.MemAddr
@@ -1086,7 +1128,6 @@ func (m *Machine) insertCopy(consumer *DynInst, cp copyPlan, target ClusterID) (
 	cpy.numSrcs = 1
 	cpy.destPhys = p
 	cpy.destLogical = cp.logical
-	cpy.prevMapping = noPrevMapping()
 	cpy.state = stateWaiting
 	cpy.readyCycle = m.cycle
 	m.seq++
@@ -1113,34 +1154,21 @@ func (m *Machine) insertCopy(consumer *DynInst, cp copyPlan, target ClusterID) (
 }
 
 // steerInfo assembles the policy's decode-time view in the machine's
-// reused buffer (policies must not retain it across calls).
+// reused buffer (policies must not retain it across calls). Only the
+// per-instruction fields are written here: New fills NumClusters and
+// sample writes Ready once per cycle.
 //
 //dca:hotpath
-func (m *Machine) steerInfo(fi *fetched, forced ClusterID) *SteerInfo {
-	in := fi.step.Inst
+func (m *Machine) steerInfo(fi *fetched, dec *pcDecode) *SteerInfo {
 	info := &m.steerBuf
-	// Field-wise reset, not a struct literal: zeroing the full per-cluster
-	// arrays every instruction is measurable, and only the first
-	// NumClusters (resp. NumSrcs) entries are meaningful by contract.
 	info.Cycle = m.cycle
 	info.PC = fi.step.PC
-	info.Inst = in
-	info.Forced = forced
-	info.NumClusters = m.cfg.NumClusters()
-	info.NumSrcs = 0
-	var srcsBuf [2]isa.Reg
-	for _, r := range in.Srcs(srcsBuf[:0]) {
-		if info.NumSrcs >= 2 {
-			break
-		}
-		i := info.NumSrcs
-		info.SrcReg[i] = r
-		info.SrcIn[i] = m.rt.home(r)
-		info.NumSrcs++
-	}
-	for c := 0; c < m.cfg.NumClusters(); c++ {
-		info.Ready[c] = m.readySample[c]
-		info.IQFree[c] = m.iqs[c].Free()
+	info.Inst = fi.step.Inst
+	info.Forced = dec.forced
+	info.NumSrcs = dec.nsrc
+	for i := 0; i < dec.nsrc; i++ {
+		info.SrcReg[i] = dec.srcs[i]
+		info.SrcIn[i] = m.rt.home(dec.srcs[i])
 	}
 	return info
 }
@@ -1150,53 +1178,79 @@ func (m *Machine) steerInfo(fi *fetched, forced ClusterID) *SteerInfo {
 //dca:hotpath
 func (m *Machine) issue() {
 	for c := 0; c < m.cfg.NumClusters(); c++ {
-		if m.iqs[c].ReadyCount() == 0 {
-			// Issuable only returns waiting-and-ready entries, so an empty
-			// ready count means an empty scan.
+		q := &m.iqs[c]
+		if q.ReadyCount() == 0 {
+			// Only waiting-and-ready entries are candidates, so an empty
+			// ready count means nothing to select.
 			continue
 		}
 		budget := m.cfg.Clusters[c].IssueWidth
-		m.issueBuf = m.issueBuf[:0]
-		m.issueBuf = m.iqs[c].Issuable(m.issueBuf)
-		for _, d := range m.issueBuf {
-			if budget == 0 {
+		if q.mode == config.IQFIFO {
+			m.issueBuf = q.Issuable(m.issueBuf[:0])
+			for _, d := range m.issueBuf {
+				if budget == 0 {
+					break
+				}
+				if m.issueOne(c, d) {
+					budget--
+				}
+			}
+			continue
+		}
+		// Out of order: walk the age-ordered window in place. The cursor
+		// reads each candidate's successor before handing it out, so an
+		// issued entry can unlink itself.
+		it := q.readyCursor()
+		for budget > 0 {
+			d := it.Next()
+			if d == nil {
 				break
 			}
-			if d.IsCopy {
-				// A copy consumes an issue slot in its source cluster and
-				// one bus toward its destination cluster.
-				if m.busUsed[c] >= m.cfg.InterClusterBuses {
-					continue
-				}
-				m.busUsed[c]++
+			if m.issueOne(c, d) {
 				budget--
-				m.iqs[c].Remove(d)
-				d.state = stateIssued
-				d.issuedAt = m.cycle
-				d.completeAt = m.cycle + uint64(m.cfg.CopyLatencyBetween(int(d.SrcCluster), int(d.Cluster)))
-				m.schedule(d)
-				m.probeEvent(EvIssue, d)
-				continue
 			}
-			lat, ok := m.fus[c].TryIssue(d.Inst.Op, m.cycle)
-			if !ok {
-				continue
-			}
-			budget--
-			m.iqs[c].Remove(d)
-			d.state = stateIssued
-			d.issuedAt = m.cycle
-			if d.isLoad || d.isStore {
-				// The issued operation is the EA computation; the memory
-				// access is handled by the LSQ afterwards.
-				d.completeAt = m.cycle + uint64(m.cfg.Lat.SimpleInt)
-			} else {
-				d.completeAt = m.cycle + uint64(lat)
-			}
-			m.schedule(d)
-			m.probeEvent(EvIssue, d)
 		}
 	}
+}
+
+// issueOne tries to issue the candidate d from cluster c's queue and
+// reports whether it left. A copy consumes an issue slot in its source
+// cluster and one bus toward its destination; anything else needs a free
+// functional unit. A candidate that loses its bus or unit stays queued,
+// in place, and costs no issue slot.
+//
+//dca:hotpath
+func (m *Machine) issueOne(c int, d *DynInst) bool {
+	if d.IsCopy {
+		if m.busUsed[c] >= m.cfg.InterClusterBuses {
+			return false
+		}
+		m.busUsed[c]++
+		m.iqs[c].Remove(d)
+		d.state = stateIssued
+		d.issuedAt = m.cycle
+		d.completeAt = m.cycle + uint64(m.cfg.CopyLatencyBetween(int(d.SrcCluster), int(d.Cluster)))
+		m.schedule(d)
+		m.probeEvent(EvIssue, d)
+		return true
+	}
+	lat, ok := m.fus[c].TryIssue(d.Inst.Op, m.cycle)
+	if !ok {
+		return false
+	}
+	m.iqs[c].Remove(d)
+	d.state = stateIssued
+	d.issuedAt = m.cycle
+	if d.isLoad || d.isStore {
+		// The issued operation is the EA computation; the memory
+		// access is handled by the LSQ afterwards.
+		d.completeAt = m.cycle + uint64(m.cfg.Lat.SimpleInt)
+	} else {
+		d.completeAt = m.cycle + uint64(lat)
+	}
+	m.schedule(d)
+	m.probeEvent(EvIssue, d)
+	return true
 }
 
 // --- Completion ---
@@ -1267,20 +1321,27 @@ func (m *Machine) noteReady(c ClusterID, p physReg) {
 
 // noteCopyArrival implements the paper's criticality test: a communication
 // is critical when an instruction in the destination cluster was already
-// waiting for the value when it arrived. The scan's only output is the
-// CriticalCopies stat, so warm-up cycles (measuring off) skip it.
+// waiting for the value when it arrived. The instructions that can be
+// waiting for it are exactly those chained on the destination queue's
+// waiter list for the copy's register — complete walks (and unchains) it
+// only after the whole batch — so the test reads that list instead of the
+// queue. Entries that left the queue while still chained (stores issued on
+// their address) fail the stateWaiting guard, as they were absent from the
+// queue. The output is only the CriticalCopies stat, so warm-up cycles
+// (measuring off) skip it.
 //
 //dca:hotpath
 func (m *Machine) noteCopyArrival(cpy *DynInst) {
 	if !m.measuring {
 		return
 	}
-	for d := m.iqs[cpy.Cluster].qhead; d != nil; d = d.nextQ {
+	p := cpy.destPhys
+	for d := m.iqs[cpy.Cluster].waiters[p]; d != nil; d = d.nextWaiterOf(p) {
 		if d.state != stateWaiting || d.readyCycle >= m.cycle {
 			continue
 		}
 		for i := 0; i < d.numSrcs; i++ {
-			if d.srcPhys[i] == cpy.destPhys && !d.srcReady[i] {
+			if d.srcPhys[i] == p && !d.srcReady[i] {
 				othersReady := true
 				for j := 0; j < d.numSrcs; j++ {
 					if j != i && !d.srcReady[j] {
@@ -1289,9 +1350,7 @@ func (m *Machine) noteCopyArrival(cpy *DynInst) {
 				}
 				if othersReady {
 					cpy.waitingConsumer = true
-					if m.measuring {
-						m.run.CriticalCopies++
-					}
+					m.run.CriticalCopies++
 					return
 				}
 			}
@@ -1316,6 +1375,9 @@ func (m *Machine) resolveBranch(d *DynInst) {
 
 //dca:hotpath
 func (m *Machine) memStep() {
+	if m.ldst.Awaiting() == 0 {
+		return
+	}
 	m.loadBuf = m.loadBuf[:0]
 	m.loadBuf = m.ldst.ReadyLoads(m.loadBuf)
 	hit := m.cfg.Mem.L1D.HitLatency
@@ -1324,7 +1386,7 @@ func (m *Machine) memStep() {
 		case loadBlocked:
 			continue
 		case loadForward:
-			d.lsqAccessed = true
+			m.ldst.MarkAccessed(d)
 			d.completeAt = m.cycle + uint64(hit)
 			m.schedule(d)
 			m.steerer.OnLoadResolved(d.PC, false)
@@ -1334,7 +1396,7 @@ func (m *Machine) memStep() {
 			}
 			m.dcachePortsUsed++
 			lat := m.hier.L1D.Access(d.memAddr, false)
-			d.lsqAccessed = true
+			m.ldst.MarkAccessed(d)
 			d.completeAt = m.cycle + uint64(lat)
 			m.schedule(d)
 			m.steerer.OnLoadResolved(d.PC, lat > hit)
@@ -1400,7 +1462,9 @@ func (m *Machine) commit() int {
 //dca:hotpath
 func (m *Machine) sample() {
 	for c := range m.readySample {
-		m.readySample[c] = m.iqs[c].ReadyCount()
+		r := m.iqs[c].ReadyCount()
+		m.readySample[c] = r
+		m.steerBuf.Ready[c] = r
 	}
 	m.steerer.OnCycle(m.cycle, m.readySample)
 	if m.measuring {

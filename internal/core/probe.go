@@ -380,7 +380,7 @@ func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
 			}
 		}
 		if m.cfg.Mode == config.IQFIFO {
-			if f := m.fifoCluster(fi, m.forcedByPC[fi.step.PC], target); f != target {
+			if f := m.fifoCluster(fi, m.decoded[fi.step.PC].forced, target); f != target {
 				target = f
 				reason = ReasonFIFO
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -78,14 +79,15 @@ func (rf *regFile) Ready(p physReg) bool {
 }
 
 // mapEntry is one logical register's rename state: a physical register per
-// cluster plus validity. A value may be mapped in several clusters at once
-// (the paper's register replication, created by inter-cluster copies); only
-// the first `clusters` entries are meaningful. nmapped caches the number
-// of valid mappings so replication accounting needs no scan.
+// cluster plus the set of clusters holding a valid mapping. A value may be
+// mapped in several clusters at once (the paper's register replication,
+// created by inter-cluster copies); only the first `clusters` entries are
+// meaningful. An invalid entry's physical register is always noPhys, so
+// redefine only needs to visit the valid ones, and the set's population
+// count is the number of mappings (replication accounting needs no scan).
 type mapEntry struct {
-	phys    [config.MaxClusters]physReg
-	valid   [config.MaxClusters]bool
-	nmapped uint8
+	phys  [config.MaxClusters]physReg
+	valid ClusterSet
 }
 
 // renameTable is the single centralized register map table of Section 2,
@@ -129,8 +131,7 @@ func (rt *renameTable) initArchState(files []regFile) error {
 		}
 		files[home].SetReady(p)
 		rt.entries[r].phys[home] = p
-		rt.entries[r].valid[home] = true
-		rt.entries[r].nmapped = 1
+		rt.entries[r].valid = ClusterSet(0).Add(home)
 	}
 	return nil
 }
@@ -140,7 +141,7 @@ func (rt *renameTable) initArchState(files []regFile) error {
 //dca:hotpath
 func (rt *renameTable) lookup(r isa.Reg, c ClusterID) (physReg, bool) {
 	e := &rt.entries[r]
-	if !e.valid[c] {
+	if !e.valid.Has(c) {
 		return noPhys, false
 	}
 	return e.phys[c], true
@@ -150,14 +151,7 @@ func (rt *renameTable) lookup(r isa.Reg, c ClusterID) (physReg, bool) {
 //
 //dca:hotpath
 func (rt *renameTable) home(r isa.Reg) ClusterSet {
-	e := &rt.entries[r]
-	var s ClusterSet
-	for c := 0; c < rt.clusters; c++ {
-		if e.valid[c] {
-			s = s.Add(ClusterID(c))
-		}
-	}
-	return s
+	return rt.entries[r].valid
 }
 
 // setMapping records that r's current value lives in physical register p of
@@ -167,10 +161,9 @@ func (rt *renameTable) home(r isa.Reg) ClusterSet {
 //dca:hotpath
 func (rt *renameTable) setMapping(r isa.Reg, c ClusterID, p physReg) {
 	e := &rt.entries[r]
-	if !e.valid[c] {
-		e.valid[c] = true
-		e.nmapped++
-		if e.nmapped == 2 && int(r) < isa.NumIntRegs {
+	if !e.valid.Has(c) {
+		e.valid = e.valid.Add(c)
+		if e.valid.Count() == 2 && int(r) < isa.NumIntRegs {
 			rt.replicated++
 		}
 	}
@@ -178,29 +171,26 @@ func (rt *renameTable) setMapping(r isa.Reg, c ClusterID, p physReg) {
 }
 
 // redefine makes cluster c's physical register p the sole mapping of r,
-// invalidating any mapping in every other cluster. It returns the previous
-// physical registers per cluster (noPhys where none) together with a
-// bitmask of the clusters that held one, which the writer frees at commit.
+// invalidating any mapping in every other cluster. It records the previous
+// physical register of each cluster that held one in prev and returns the
+// bitmask of those clusters, which the writer frees at commit; entries of
+// prev outside the mask are left untouched.
 //
 //dca:hotpath
-func (rt *renameTable) redefine(r isa.Reg, c ClusterID, p physReg) (prev [config.MaxClusters]physReg, mask uint8) {
-	prev = noPrevMapping()
+func (rt *renameTable) redefine(r isa.Reg, c ClusterID, p physReg, prev *[config.MaxClusters]physReg) (mask uint8) {
 	e := &rt.entries[r]
-	for cl := 0; cl < rt.clusters; cl++ {
-		if e.valid[cl] {
-			prev[cl] = e.phys[cl]
-			mask |= 1 << uint(cl)
-		}
-		e.valid[cl] = false
+	mask = uint8(e.valid)
+	for m := mask; m != 0; m &= m - 1 {
+		cl := bits.TrailingZeros8(m)
+		prev[cl] = e.phys[cl]
 		e.phys[cl] = noPhys
 	}
-	if e.nmapped >= 2 && int(r) < isa.NumIntRegs {
+	if e.valid.Count() >= 2 && int(r) < isa.NumIntRegs {
 		rt.replicated--
 	}
-	e.nmapped = 1
 	e.phys[c] = p
-	e.valid[c] = true
-	return prev, mask
+	e.valid = ClusterSet(0).Add(c)
+	return mask
 }
 
 // replicatedCount returns how many integer logical registers are currently

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/config"
 	"repro/internal/isa"
 )
 
@@ -130,7 +131,8 @@ func TestRenameRedefineInvalidatesOtherCluster(t *testing.T) {
 
 	// A new writer in the int cluster invalidates both old mappings.
 	p3, _ := files[0].Alloc()
-	prev, mask := rt.redefine(r, IntCluster, p3)
+	var prev [config.MaxClusters]physReg
+	mask := rt.redefine(r, IntCluster, p3, &prev)
 	if prev[0] != orig || prev[1] != p2 {
 		t.Fatalf("redefine prev = %v, want [%v %v]", prev, orig, p2)
 	}

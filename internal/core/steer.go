@@ -8,8 +8,8 @@ import (
 // SteerInfo is the decode-time information the steering logic sees for one
 // instruction, mirroring the hardware of Section 3: the instruction, its
 // operands' current cluster locations (from the replicated map table), and
-// the per-cluster workload measures used by the balance heuristics. The
-// per-cluster arrays are sized for config.MaxClusters; only the first
+// the per-cluster workload measure used by the balance heuristics. The
+// per-cluster array is sized for config.MaxClusters; only the first
 // NumClusters entries are meaningful.
 type SteerInfo struct {
 	// Cycle is the current cycle.
@@ -35,26 +35,9 @@ type SteerInfo struct {
 	SrcIn [2]ClusterSet
 
 	// Ready is the per-cluster count of ready waiting instructions this
-	// cycle (metric I2's raw input).
+	// cycle (metric I2's raw input). The machine writes it once per cycle,
+	// when it samples the counts for OnCycle.
 	Ready [config.MaxClusters]int
-	// IssueWidth is each cluster's issue bandwidth.
-	IssueWidth [config.MaxClusters]int
-	// IQFree is each cluster's remaining queue capacity.
-	IQFree [config.MaxClusters]int
-}
-
-// OperandsIn counts how many sources currently reside in cluster c
-// (replicated operands count for every cluster holding them).
-//
-//dca:hotpath
-func (si *SteerInfo) OperandsIn(c ClusterID) int {
-	n := 0
-	for i := 0; i < si.NumSrcs; i++ {
-		if si.SrcIn[i].Has(c) {
-			n++
-		}
-	}
-	return n
 }
 
 // Clusters returns the machine's cluster count, defaulting to the paper's

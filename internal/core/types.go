@@ -114,8 +114,8 @@ type physReg int16
 // immediate, or no destination).
 const noPhys physReg = -1
 
-// noPrevMapping returns a per-cluster mapping record with every entry
-// absent; newly created dynamic instructions start from it.
+// noPrevMapping returns a per-cluster physical-register record with every
+// entry absent: the rename table's initial mapping state.
 func noPrevMapping() (p [config.MaxClusters]physReg) {
 	for i := range p {
 		p[i] = noPhys
@@ -160,9 +160,9 @@ type DynInst struct {
 	// destLogical is the architectural destination (NoReg if none).
 	destLogical isa.Reg
 	// prevMapping records the per-cluster physical registers that held
-	// destLogical before this instruction, freed at commit. Only the first
-	// NumClusters entries are meaningful; prevMask has a bit set for each
-	// cluster holding one, so commit releases without scanning.
+	// destLogical before this instruction, freed at commit. prevMask has a
+	// bit set for each cluster holding one, and only those entries are
+	// meaningful, so commit releases without scanning.
 	prevMapping [config.MaxClusters]physReg
 	prevMask    uint8
 

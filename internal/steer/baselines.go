@@ -1,6 +1,10 @@
 package steer
 
-import "repro/internal/core"
+import (
+	"math/bits"
+
+	"repro/internal/core"
+)
 
 // Operand is a decomposition baseline, not a paper scheme: pure
 // operand-following with no balance machinery. Steering rule: an
@@ -25,14 +29,9 @@ func (*Operand) Steer(info *core.SteerInfo) core.ClusterID {
 	if info.Forced != core.AnyCluster {
 		return info.Forced
 	}
-	best, bestCount := core.IntCluster, info.OperandsIn(core.IntCluster)
-	for c := 1; c < info.Clusters(); c++ {
-		id := core.ClusterID(c)
-		if n := info.OperandsIn(id); n > bestCount {
-			best, bestCount = id, n
-		}
-	}
-	return best
+	// The lowest-numbered cluster of the operand-majority set.
+	m := operandMajority(info, firstClusters(info.Clusters()))
+	return core.ClusterID(bits.TrailingZeros8(uint8(m)))
 }
 
 // Random is the second decomposition baseline, not a paper scheme.

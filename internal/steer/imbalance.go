@@ -160,33 +160,34 @@ func (im *imbalance) onCycle(ready []int) {
 // counters are renormalized so their minimum stays at zero (differences,
 // the only thing decisions read, are unaffected).
 //
+// One pass finds the minimum and how many clusters hold it: the increment
+// raises the minimum only when it lands on the sole minimal counter, and
+// then by exactly one, so the renormalization needs no second scan.
+//
 //dca:hotpath
 func (im *imbalance) onSteer(c core.ClusterID) {
 	if !im.useI1 || c < 0 || int(c) >= im.n {
 		return
 	}
-	limit := 4 * im.p.Threshold
-	min := im.i1[0]
+	lo, nlo := im.i1[0], 1
 	for _, v := range im.i1[1:] {
-		if v < min {
-			min = v
+		switch {
+		case v < lo:
+			lo, nlo = v, 1
+		case v == lo:
+			nlo++
 		}
 	}
-	if im.i1[c]-min < limit {
+	newLo := lo
+	if im.i1[c]-lo < 4*im.p.Threshold {
+		if im.i1[c] == lo && nlo == 1 {
+			newLo = lo + 1
+		}
 		im.i1[c]++
 	}
-	// Renormalize so the minimum counter sits at zero; differences — the
-	// only thing decisions read — are unaffected, and the counters stay
-	// bounded by the clamp.
-	min = im.i1[0]
-	for _, v := range im.i1[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	if min != 0 {
+	if newLo != 0 {
 		for i := range im.i1 {
-			im.i1[i] -= min
+			im.i1[i] -= newLo
 		}
 	}
 }
@@ -206,9 +207,10 @@ func (im *imbalance) delta(c, o core.ClusterID) int {
 }
 
 // deltaGE reports delta(c, o) >= a without the integer division (the
-// division dominated the steering cost on wide machines: the hot
-// comparisons run once per cluster pair per steered instruction). It
-// reproduces delta's truncated-toward-zero semantics exactly:
+// division dominated the steering cost on wide machines when every
+// cluster pair was compared per steered instruction; strongPairwise and
+// overloaded still compare pairs). It reproduces delta's
+// truncated-toward-zero semantics exactly:
 // with q = trunc(ds/f), q >= b reduces to ds >= b*f when ds >= 0 (floor)
 // and to ds > (b-1)*f when ds < 0 (ceiling). TestDeltaComparisons pins the
 // equivalence against the division form.
@@ -227,19 +229,6 @@ func (im *imbalance) deltaGE(c, o core.ClusterID, a int) bool {
 	return ds > (b-1)*im.filled
 }
 
-// deltaSign returns the sign of delta(c, o) using only deltaGE.
-//
-//dca:hotpath
-func (im *imbalance) deltaSign(c, o core.ClusterID) int {
-	if im.deltaGE(c, o, 1) {
-		return 1
-	}
-	if !im.deltaGE(c, o, 0) {
-		return -1
-	}
-	return 0
-}
-
 // value returns the two-cluster reading of the counter — delta(FP, Int),
 // the paper's combined imbalance counter (positive = FP cluster more
 // loaded). It is only meaningful on two clusters; N-cluster decisions use
@@ -250,11 +239,60 @@ func (im *imbalance) value() int {
 	return im.delta(core.FPCluster, core.IntCluster)
 }
 
+// key returns cluster c's load key, K_c = sum_c + i1_c·filled: filled
+// times the cluster's combined counter before the window average's
+// truncation. With the window still empty it is the I1 count alone
+// (delta then reads I1 only). Key differences bound the pairwise counter
+// from both sides (see strong and lighter), which is what makes the
+// balance tests linear in the cluster count.
+//
+//dca:hotpath
+func (im *imbalance) key(c int) int {
+	if im.filled == 0 {
+		return im.i1[c]
+	}
+	return im.sum[c] + im.i1[c]*im.filled
+}
+
 // strong reports whether any pair of clusters differs by at least the
-// threshold (on two clusters: |combined counter| ≥ threshold).
+// threshold (on two clusters: |combined counter| ≥ threshold). It makes
+// one pass for the largest and smallest key: delta(c, o) ≥ T requires
+// K_c − K_o > (T−1)·filled and is implied by K_c − K_o ≥ T·filled
+// (DESIGN.md, "Linear-time balance tests"), so the key spread decides
+// every state except one strictly between those bounds, which falls back
+// to the pairwise test. With an empty window the keys are the I1 counts
+// and their spread is exact.
 //
 //dca:hotpath
 func (im *imbalance) strong() bool {
+	if im.n < 2 {
+		return false
+	}
+	lo, hi := im.key(0), im.key(0)
+	for c := 1; c < im.n; c++ {
+		k := im.key(c)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	t, f := im.p.Threshold, im.filled
+	spread := hi - lo
+	if f == 0 {
+		return spread >= t
+	}
+	switch {
+	case spread >= t*f:
+		return true
+	case spread <= (t-1)*f:
+		return false
+	}
+	return im.strongPairwise()
+}
+
+// strongPairwise is strong's definition, checked pair by pair: some
+// ordered pair of clusters has delta ≥ threshold. strong runs it only for
+// a key spread the bounds leave undecided.
+//
+//dca:hotpath
+func (im *imbalance) strongPairwise() bool {
 	for c := 0; c < im.n; c++ {
 		for o := c + 1; o < im.n; o++ {
 			cc, oo := core.ClusterID(c), core.ClusterID(o)
@@ -272,7 +310,14 @@ func (im *imbalance) strong() bool {
 //
 //dca:hotpath
 func (im *imbalance) allClusters() core.ClusterSet {
-	return core.ClusterSet(1<<uint(im.n)) - 1
+	return firstClusters(im.n)
+}
+
+// firstClusters returns the set of clusters 0..n−1.
+//
+//dca:hotpath
+func firstClusters(n int) core.ClusterSet {
+	return core.ClusterSet(1<<uint(n)) - 1
 }
 
 // overloaded reports whether cluster c is currently on the loaded side of
@@ -313,32 +358,44 @@ func readyAt(ready []int, c core.ClusterID) int {
 	return 0
 }
 
+// lighter reports delta(c, o) < 0 from the two clusters' keys and window
+// sums: with ds = sum_c − sum_o, a non-negative ds truncates like a floor,
+// so the counter is negative iff K_c < K_o; a negative ds truncates like a
+// ceiling, so it is negative iff K_c ≤ K_o − filled. With an empty window
+// the keys are the I1 counts, compared directly.
+//
+//dca:hotpath
+func (im *imbalance) lighter(kc, sc, ko, so int) bool {
+	if im.filled == 0 || sc >= so {
+		return kc < ko
+	}
+	return kc <= ko-im.filled
+}
+
 // leastLoadedIn scans the clusters in the candidate set and keeps the
-// least loaded: a candidate replaces the incumbent when its pairwise
+// least loaded: a candidate replaces the incumbent when the pairwise
 // counter says it is strictly less loaded, or on a counter tie when it has
-// strictly fewer raw ready instructions. It runs once per steered
-// instruction, so it stays closure- and allocation-free.
+// strictly fewer raw ready instructions. Each candidate's key is computed
+// once and compared exactly (lighter), so the scan is one pass. It runs
+// once per steered instruction, so it stays closure- and allocation-free.
 //
 //dca:hotpath
 func (im *imbalance) leastLoadedIn(cands core.ClusterSet, ready []int) core.ClusterID {
 	best := core.AnyCluster
+	var bestK, bestS int
 	for i := 0; i < im.n; i++ {
 		c := core.ClusterID(i)
 		if !cands.Has(c) {
 			continue
 		}
-		if best == core.AnyCluster {
-			best = c
+		k, s := im.key(i), im.sum[i]
+		switch {
+		case best == core.AnyCluster, im.lighter(k, s, bestK, bestS):
+		case !im.lighter(bestK, bestS, k, s) && readyAt(ready, c) < readyAt(ready, best):
+		default:
 			continue
 		}
-		switch im.deltaSign(c, best) {
-		case -1:
-			best = c
-		case 0:
-			if readyAt(ready, c) < readyAt(ready, best) {
-				best = c
-			}
-		}
+		best, bestK, bestS = c, k, s
 	}
 	return best
 }

@@ -72,18 +72,31 @@ func steerByOperandsAndBalance(info *core.SteerInfo, im *imbalance) core.Cluster
 	// Clusters holding the operand majority; with no operands (or a full
 	// tie) every cluster is a candidate and load decides, as in the
 	// paper's two-cluster rule.
-	best, cands := 0, core.ClusterSet(0)
-	for c := 0; c < im.n; c++ {
-		id := core.ClusterID(c)
-		switch n := info.OperandsIn(id); {
-		case n > best:
-			best, cands = n, core.ClusterSet(0).Add(id)
-		case n == best:
-			cands = cands.Add(id)
-		}
-	}
+	cands := operandMajority(info, im.allClusters())
 	if c := cands.Single(); c != core.AnyCluster {
 		return c
 	}
 	return im.leastLoadedOf(cands, ready)
+}
+
+// operandMajority returns the clusters of all holding the most of the
+// instruction's sources, read off the two source-location bitsets: the
+// clusters holding every source, else those holding any, else (no source
+// mapped in all, or no sources) all of them. That is exactly the set of
+// clusters maximizing the per-cluster operand count.
+//
+//dca:hotpath
+func operandMajority(info *core.SteerInfo, all core.ClusterSet) core.ClusterSet {
+	inter, union := all, core.ClusterSet(0)
+	for i := 0; i < info.NumSrcs; i++ {
+		inter &= info.SrcIn[i]
+		union |= info.SrcIn[i]
+	}
+	if inter != 0 {
+		return inter
+	}
+	if union &= all; union != 0 {
+		return union
+	}
+	return all
 }
