@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake-sweep cover fuzz bench serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
+.PHONY: all build test race flake-sweep cover fuzz bench bench-smoke serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
 
 all: build
 
@@ -41,6 +41,13 @@ fuzz:
 	$(GO) test ./internal/core -run xxx -fuzz FuzzCoSimulate -fuzztime 20s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzFastForward -fuzztime 10s
 	$(GO) test ./internal/trace -run xxx -fuzz FuzzTraceReplay -fuzztime 10s
+
+# Run the per-cycle core benchmarks for a fixed 2000 cycles per case: `go
+# test ./...` compiles them but never runs them, so their halted-program
+# guard and replay set-up would otherwise break unnoticed. Also the quick
+# per-configuration view of a hot-loop change.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'MachineCycle|MachineRun' -benchtime 2000x ./internal/core
 
 # End-to-end smoke of the simulation service: build cmd/dcaserve, start
 # it, POST a tiny job, assert a 200 with a well-formed content-addressed
@@ -95,4 +102,4 @@ vet:
 lint:
 	$(GO) run ./cmd/dcalint ./...
 
-ci: fmt vet lint build race flake-sweep cover fuzz serve-smoke worker-smoke load-smoke trace-smoke probe-smoke
+ci: fmt vet lint build race flake-sweep cover fuzz bench-smoke serve-smoke worker-smoke load-smoke trace-smoke probe-smoke

@@ -215,41 +215,35 @@ func BenchmarkMachineCycle(b *testing.B) {
 // after warm-up, stepping the machine must not allocate at all, on every
 // configuration the benchmark suite covers. A regression here is a
 // performance bug even when all behavioural tests pass; ARCHITECTURE.md
-// documents the invariant and the structures that uphold it.
+// documents the invariant and the structures that uphold it. Every case
+// counts each heap allocation over 20k cycles (mallocsOver) and requires
+// exactly 0: an allocation that happens once per few thousand cycles —
+// a pool running dry, a scratch buffer growing — is still one too many.
 func TestSteadyStateCycleAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full warm-up")
 	}
+	const cycles = 20_000
 	for _, bc := range benchCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			m := newBenchMachine(t, bc)
-			var stepErr error
-			avg := testing.AllocsPerRun(2000, func() {
-				if err := m.StepOneCycle(); err != nil {
-					stepErr = err
-				}
-			})
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if avg != 0 {
-				t.Fatalf("steady-state cycle allocates: %.3f allocs/cycle (want 0)", avg)
+			if n := mallocsOver(t, m, cycles); n != 0 {
+				t.Fatalf("steady-state cycle loop allocated %d times in %d cycles (want 0)", n, cycles)
 			}
 		})
 	}
 	// A runaway front end: with no misprediction to stop it, fetch would
 	// outrun the stalled dispatcher without limit if the fetch queue were
 	// not bounded, and an unbounded queue allocates as it grows. The
-	// window is long enough that a doubling ring would grow inside it,
-	// and every allocation in it counts.
+	// window is long enough that a doubling ring would grow inside it.
 	for _, bc := range []benchCase{
 		{"n2/general", config.Clustered(), "general"},
 		{"n8/general", config.ClusteredN(8), "general"},
 	} {
 		t.Run(bc.name+"/runaway", func(t *testing.T) {
 			m := newWarmMachine(t, bc, runawayProgram(), nil)
-			if n := mallocsOver(t, m, 20_000); n != 0 {
-				t.Fatalf("runaway front end allocated %d times in 20000 cycles (want 0)", n)
+			if n := mallocsOver(t, m, cycles); n != 0 {
+				t.Fatalf("runaway front end allocated %d times in %d cycles (want 0)", n, cycles)
 			}
 		})
 	}
@@ -263,17 +257,26 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 	} {
 		t.Run(bc.name+"/replay", func(t *testing.T) {
 			m := newReplayBenchMachine(t, bc)
-			var stepErr error
-			avg := testing.AllocsPerRun(2000, func() {
-				if err := m.StepOneCycle(); err != nil {
-					stepErr = err
-				}
-			})
-			if stepErr != nil {
-				t.Fatal(stepErr)
+			if n := mallocsOver(t, m, cycles); n != 0 {
+				t.Fatalf("replaying cycle loop allocated %d times in %d cycles (want 0)", n, cycles)
 			}
-			if avg != 0 {
-				t.Fatalf("replaying steady-state cycle allocates: %.3f allocs/cycle (want 0)", avg)
+		})
+	}
+	// A machine restored from a warm checkpoint must inherit the sizes New
+	// chose (the clone keeps every pool and buffer capacity), or it would
+	// grow them again on its first busy cycles.
+	for _, bc := range []benchCase{
+		{"n2/general", config.Clustered(), "general"},
+		{"n2-fifo/fifo", config.FIFOClustered(), "fifo"},
+		{"n8/general", config.ClusteredN(8), "general"},
+	} {
+		t.Run(bc.name+"/restored", func(t *testing.T) {
+			cp, ok := newBenchMachine(t, bc).Checkpoint()
+			if !ok {
+				t.Fatal("warm machine not checkpointable")
+			}
+			if n := mallocsOver(t, cp.Restore(), cycles); n != 0 {
+				t.Fatalf("restored machine allocated %d times in %d cycles (want 0)", n, cycles)
 			}
 		})
 	}

@@ -126,6 +126,32 @@ func TestInFlightNeverExceedsWindow(t *testing.T) {
 	}
 }
 
+// TestLSQAwaitingMatchesScan checks, every cycle of every stress program
+// on several machines, that the LSQ's count of loads awaiting their access
+// equals what a full ReadyLoads scan finds: the memory stage and
+// fast-forward skip the scan on that count.
+func TestLSQAwaitingMatchesScan(t *testing.T) {
+	for name, p := range invariantPrograms() {
+		for _, cfg := range []*config.Config{config.Clustered(), config.FIFOClustered(), config.ClusteredN(4)} {
+			m, err := New(cfg, p, &moduloSteerer{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !m.haltCommitted {
+				if err := m.step(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := m.ldst.Awaiting(), len(m.ldst.ReadyLoads(nil)); got != want {
+					t.Fatalf("%s/%s cycle %d: awaiting %d, scan finds %d", name, cfg.Name, m.cycle, got, want)
+				}
+				if m.cycle > 1_000_000 {
+					t.Fatal("program did not halt")
+				}
+			}
+		}
+	}
+}
+
 // TestIssueWidthRespected verifies per-cluster issue bandwidth from the
 // issue event stream.
 func TestIssueWidthRespected(t *testing.T) {

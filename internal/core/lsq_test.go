@@ -207,3 +207,26 @@ func TestLSQRemoveMidQueue(t *testing.T) {
 		t.Fatal("absent remove changed the queue")
 	}
 }
+
+func TestLSQAwaitingCount(t *testing.T) {
+	q := newLSQ(8)
+	ld1 := mkMem(1, false, 0x10, 8)
+	st := mkMem(2, true, 0x40, 8)
+	ld2 := mkMem(3, false, 0x20, 8)
+	for _, d := range []*DynInst{ld1, st, ld2} {
+		q.Add(d)
+	}
+	if q.Awaiting() != 0 || !q.allBlocked(storeFiles(true)) {
+		t.Fatalf("fresh queue: awaiting %d, want 0 and nothing to unblock", q.Awaiting())
+	}
+	q.MarkAddrKnown(ld1)
+	q.MarkAddrKnown(st) // stores never await an access
+	q.MarkAddrKnown(ld2)
+	if got := len(q.ReadyLoads(nil)); q.Awaiting() != 2 || got != 2 {
+		t.Fatalf("awaiting %d, ReadyLoads %d, want 2 and 2", q.Awaiting(), got)
+	}
+	q.MarkAccessed(ld1)
+	if got := q.ReadyLoads(nil); q.Awaiting() != 1 || len(got) != 1 || got[0] != ld2 {
+		t.Fatalf("after one access: awaiting %d, ReadyLoads %d", q.Awaiting(), len(got))
+	}
+}

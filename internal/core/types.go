@@ -17,7 +17,8 @@
 // produces the committed-path instruction stream; the timing model imposes
 // structural and data hazards on it. Branch mispredictions stall fetch
 // until the branch resolves (wrong-path instructions are not simulated);
-// see DESIGN.md for the fidelity argument.
+// DESIGN.md, "Wrong-path instructions", states what the model does and
+// what is left unmeasured.
 package core
 
 import (
