@@ -208,8 +208,8 @@ func (im *imbalance) delta(c, o core.ClusterID) int {
 
 // deltaGE reports delta(c, o) >= a without the integer division (the
 // division dominated the steering cost on wide machines when every
-// cluster pair was compared per steered instruction; strongPairwise and
-// overloaded still compare pairs). It reproduces delta's
+// cluster pair was compared per steered instruction; strong's undecided
+// band and overloaded still call it). It reproduces delta's
 // truncated-toward-zero semantics exactly:
 // with q = trunc(ds/f), q >= b reduces to ds >= b*f when ds >= 0 (floor)
 // and to ds > (b-1)*f when ds < 0 (ceiling). TestDeltaComparisons pins the
