@@ -262,24 +262,6 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			}
 		})
 	}
-	// A machine restored from a warm checkpoint must inherit the sizes New
-	// chose (the clone keeps every pool and buffer capacity), or it would
-	// grow them again on its first busy cycles.
-	for _, bc := range []benchCase{
-		{"n2/general", config.Clustered(), "general"},
-		{"n2-fifo/fifo", config.FIFOClustered(), "fifo"},
-		{"n8/general", config.ClusteredN(8), "general"},
-	} {
-		t.Run(bc.name+"/restored", func(t *testing.T) {
-			cp, ok := newBenchMachine(t, bc).Checkpoint()
-			if !ok {
-				t.Fatal("warm machine not checkpointable")
-			}
-			if n := mallocsOver(t, cp.Restore(), cycles); n != 0 {
-				t.Fatalf("restored machine allocated %d times in %d cycles (want 0)", n, cycles)
-			}
-		})
-	}
 }
 
 // mallocsOver steps m for the given number of cycles and returns the

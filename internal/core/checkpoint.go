@@ -127,13 +127,11 @@ func (m *Machine) clone() (*Machine, bool) {
 	c.btb = m.btb.Clone()
 	c.ras = m.ras.Clone()
 
-	// Pass 1: duplicate every live DynInst, recording the translation. The
-	// copies and the recycle pool below share one backing array.
-	slab := make([]DynInst, m.robLen+len(m.dynPool))
+	// Pass 1: duplicate every live DynInst, recording the translation.
 	remap := make(map[*DynInst]*DynInst, m.robLen)
 	for i := 0; i < m.robLen; i++ {
 		old := m.robAt(i)
-		nd := &slab[i]
+		nd := new(DynInst)
 		*nd = *old
 		remap[old] = nd
 	}
@@ -202,7 +200,7 @@ func (m *Machine) clone() (*Machine, bool) {
 	// capacity, which is what makes the steady state allocation-free.
 	c.dynPool = make([]*DynInst, len(m.dynPool), cap(m.dynPool))
 	for i := range c.dynPool {
-		c.dynPool[i] = &slab[m.robLen+i]
+		c.dynPool[i] = new(DynInst)
 	}
 
 	// Per-cycle scratch (empty between cycles; keep the capacities New

@@ -132,6 +132,8 @@ func TestCheckpointRequiresCloneableSteerer(t *testing.T) {
 // gate on a restored machine: every capacity (pools, rings, scratch
 // buffers, free lists) must survive the snapshot/restore round trip, or
 // the first cycles after restore re-grow structures the clone shrank.
+// Like TestSteadyStateCycleAllocs it counts every allocation over 20k
+// cycles and requires exactly 0.
 func TestCheckpointRestoredMachineAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full warm-up")
@@ -146,17 +148,8 @@ func TestCheckpointRestoredMachineAllocFree(t *testing.T) {
 			if m == nil {
 				t.Fatal("restore failed")
 			}
-			var stepErr error
-			avg := testing.AllocsPerRun(2000, func() {
-				if err := m.StepOneCycle(); err != nil {
-					stepErr = err
-				}
-			})
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if avg != 0 {
-				t.Fatalf("restored machine allocates: %.3f allocs/cycle (want 0)", avg)
+			if n := mallocsOver(t, m, 20_000); n != 0 {
+				t.Fatalf("restored machine allocated %d times in 20000 cycles (want 0)", n)
 			}
 		})
 	}

@@ -297,13 +297,15 @@ func (m *Machine) CommittedInstructions() uint64 { return m.committedProg }
 
 // --- Allocation-free plumbing: pools, rings, and the timing wheel ---
 
-// newDynPool returns a recycle pool holding n zeroed DynInsts, carved from
-// one backing array, with room for n.
+// newDynPool returns a recycle pool holding n zeroed DynInsts, with room
+// for n. They are allocated one by one: as small objects they are reused
+// across machines through the allocator's size classes, where one large
+// backing array per machine raised the grid benchmark's peak resident
+// set.
 func newDynPool(n int) []*DynInst {
-	slab := make([]DynInst, n)
 	pool := make([]*DynInst, n)
-	for i := range slab {
-		pool[i] = &slab[i]
+	for i := range pool {
+		pool[i] = new(DynInst)
 	}
 	return pool
 }
@@ -483,7 +485,10 @@ func (m *Machine) Measure(measure uint64) (*stats.Run, error) {
 // is absolute — Measure passes warmed+measure — so a warm phase that
 // overshot its budget measures to the same cycle an unbroken run would.
 // A machine that halted during warm-up never begins measuring, matching
-// the single-loop behaviour this decomposition replaced.
+// the single-loop behaviour this decomposition replaced. The record is
+// returned as a copy sharing nothing with the machine: a pointer into the
+// machine would keep all of it — pools, queues, caches — reachable for as
+// long as the caller keeps the result.
 func (m *Machine) measureTo(target uint64) (*stats.Run, error) {
 	if !m.haltCommitted {
 		m.measuring = true
@@ -493,7 +498,9 @@ func (m *Machine) measureTo(target uint64) (*stats.Run, error) {
 		return nil, err
 	}
 	m.finishMeasurement()
-	return &m.run, nil
+	run := m.run
+	run.Steered = append([]uint64(nil), m.run.Steered...)
+	return &run, nil
 }
 
 // runUntil is the simulation loop shared by the warm and measure phases:

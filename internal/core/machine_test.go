@@ -426,3 +426,26 @@ loop:
 
 // rreg abbreviates isa.R in builder-based tests.
 func rreg(i int) isa.Reg { return isa.R(i) }
+
+// TestMeasureReturnsDetachedRecord requires each measurement record to
+// share nothing with its machine: measuring again must leave an earlier
+// record as it was. (A record pointing into the machine would also keep
+// the whole machine reachable for as long as a caller holds the result.)
+func TestMeasureReturnsDetachedRecord(t *testing.T) {
+	m, err := New(config.Clustered(), wideLoop(), &moduloSteerer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.RunWithWarmup(1000, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, steered := first.Cycles, append([]uint64(nil), first.Steered...)
+	if _, err := m.Measure(100); err != nil {
+		t.Fatal(err)
+	}
+	if first.Cycles != cycles || first.Steered[0] != steered[0] || first.Steered[1] != steered[1] {
+		t.Fatalf("earlier record changed by a later measurement: cycles %d → %d, steered %v → %v",
+			cycles, first.Cycles, steered, first.Steered)
+	}
+}

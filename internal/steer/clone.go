@@ -23,8 +23,7 @@ func (im *imbalance) clone() *imbalance {
 	return &ni
 }
 
-// clone deep-copies the slice and parent tables. The srcBuf scratch is
-// dropped — observe repopulates it per decode.
+// clone deep-copies the slice and parent tables.
 func (t *sliceBitTable) clone() *sliceBitTable {
 	bits := make(map[int]bool, len(t.bits))
 	for pc, b := range t.bits {
@@ -72,7 +71,6 @@ func (s *General) CloneSteerer() core.Steerer {
 func (s *Slice) clone() *Slice {
 	ns := *s
 	ns.bits = s.bits.clone()
-	ns.srcBuf = nil
 	return &ns
 }
 
@@ -90,7 +88,6 @@ func (s *SliceBalance) clone() *SliceBalance {
 	ns := *s
 	ns.ids = s.ids.clone()
 	ns.im = s.im.clone()
-	ns.srcBuf = nil
 	table := make(map[int]*sliceState, len(s.table))
 	for sid, st := range s.table {
 		table[sid] = cloneSliceState(st)

@@ -160,35 +160,31 @@ func (im *imbalance) onCycle(ready []int) {
 // counters are renormalized so their minimum stays at zero (differences,
 // the only thing decisions read, are unaffected).
 //
-// One pass finds the minimum and how many clusters hold it: the increment
-// raises the minimum only when it lands on the sole minimal counter, and
-// then by exactly one, so the renormalization needs no second scan.
+// Because the minimum is zero between calls (the counters start at zero
+// and every call restores it), the clamp reads the counter alone, and only
+// an increment of a zero counter can raise the minimum: when no other
+// counter is zero it is now one, and one pass lowers every counter by one.
 //
 //dca:hotpath
 func (im *imbalance) onSteer(c core.ClusterID) {
 	if !im.useI1 || c < 0 || int(c) >= im.n {
 		return
 	}
-	lo, nlo := im.i1[0], 1
-	for _, v := range im.i1[1:] {
-		switch {
-		case v < lo:
-			lo, nlo = v, 1
-		case v == lo:
-			nlo++
+	v := im.i1[c]
+	if v >= 4*im.p.Threshold {
+		return
+	}
+	im.i1[c] = v + 1
+	if v != 0 {
+		return
+	}
+	for _, x := range im.i1 {
+		if x == 0 {
+			return
 		}
 	}
-	newLo := lo
-	if im.i1[c]-lo < 4*im.p.Threshold {
-		if im.i1[c] == lo && nlo == 1 {
-			newLo = lo + 1
-		}
-		im.i1[c]++
-	}
-	if newLo != 0 {
-		for i := range im.i1 {
-			im.i1[i] -= newLo
-		}
+	for i := range im.i1 {
+		im.i1[i]--
 	}
 }
 
@@ -208,8 +204,8 @@ func (im *imbalance) delta(c, o core.ClusterID) int {
 
 // deltaGE reports delta(c, o) >= a without the integer division (the
 // division dominated the steering cost on wide machines when every
-// cluster pair was compared per steered instruction; strong's undecided
-// band and overloaded still call it). It reproduces delta's
+// cluster pair was compared per steered instruction; strongInBand and
+// overloaded still call it). It reproduces delta's
 // truncated-toward-zero semantics exactly:
 // with q = trunc(ds/f), q >= b reduces to ds >= b*f when ds >= 0 (floor)
 // and to ds > (b-1)*f when ds < 0 (ceiling). TestDeltaComparisons pins the
@@ -284,20 +280,26 @@ func (im *imbalance) strong() bool {
 	case spread <= (t-1)*f:
 		return false
 	}
-	return im.strongPairwise()
+	return im.strongInBand(lo, hi)
 }
 
-// strongPairwise is strong's definition, checked pair by pair: some
-// ordered pair of clusters has delta ≥ threshold. strong runs it only for
-// a key spread the bounds leave undecided.
+// strongInBand decides strong for a key spread strictly between
+// (T−1)·filled and T·filled (lo and hi are the smallest and largest key)
+// with the pairwise test, deltaGE, on the only ordered pairs (c, o) that
+// can pass it: delta(c, o) ≥ T requires K_c − K_o > (T−1)·filled, so K_c
+// must exceed lo + (T−1)·filled and K_o must stay below
+// hi − (T−1)·filled.
 //
 //dca:hotpath
-func (im *imbalance) strongPairwise() bool {
+func (im *imbalance) strongInBand(lo, hi int) bool {
+	t := im.p.Threshold
+	d := (t - 1) * im.filled
 	for c := 0; c < im.n; c++ {
-		for o := c + 1; o < im.n; o++ {
-			cc, oo := core.ClusterID(c), core.ClusterID(o)
-			// |delta| >= T, checked both ways (delta is antisymmetric).
-			if im.deltaGE(cc, oo, im.p.Threshold) || im.deltaGE(oo, cc, im.p.Threshold) {
+		if im.key(c) <= lo+d {
+			continue
+		}
+		for o := 0; o < im.n; o++ {
+			if o != c && im.key(o) < hi-d && im.deltaGE(core.ClusterID(c), core.ClusterID(o), t) {
 				return true
 			}
 		}

@@ -52,6 +52,20 @@ func TestDeltaComparisons(t *testing.T) {
 // cluster at a time. Production code runs the linear forms; these stay as
 // the definitions TestLinearBalanceMatchesPairwise holds them to.
 
+// strongPairwise is strong's definition: some ordered pair of clusters has
+// delta ≥ threshold.
+func (im *imbalance) strongPairwise() bool {
+	for c := 0; c < im.n; c++ {
+		for o := c + 1; o < im.n; o++ {
+			cc, oo := core.ClusterID(c), core.ClusterID(o)
+			if im.deltaGE(cc, oo, im.p.Threshold) || im.deltaGE(oo, cc, im.p.Threshold) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // deltaSign returns the sign of delta(c, o) using only deltaGE.
 func (im *imbalance) deltaSign(c, o core.ClusterID) int {
 	if im.deltaGE(c, o, 1) {
@@ -176,6 +190,14 @@ func TestLinearBalanceMatchesPairwise(t *testing.T) {
 			if useI2 && filled > 0 {
 				im.sum[c] = r.Intn(perCycle*filled + 1)
 			}
+		}
+		// The I1 counters' minimum is zero between onSteer calls.
+		lowest := im.i1[0]
+		for _, v := range im.i1 {
+			lowest = min(lowest, v)
+		}
+		for c := range im.i1 {
+			im.i1[c] -= lowest
 		}
 		f := filled
 		if inBand {

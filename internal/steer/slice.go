@@ -24,7 +24,10 @@ type Slice struct {
 	kind    SliceKind
 	bits    *sliceBitTable
 	parents parentTable
-	srcBuf  []isa.Reg
+	// srcBuf is observe's scratch for an instruction's slice sources (at
+	// most two). An array, so a clone's struct copy carries it and no
+	// decode allocates.
+	srcBuf [2]isa.Reg
 }
 
 // NewSlice returns LdSt- or Br-slice steering.
@@ -47,8 +50,7 @@ func (s *Slice) observe(info *core.SteerInfo) bool {
 	}
 	inSlice := s.bits.get(pc)
 	if inSlice {
-		s.srcBuf = sliceSources(s.kind, in, s.srcBuf[:0])
-		for _, r := range s.srcBuf {
+		for _, r := range sliceSources(s.kind, in, s.srcBuf[:0]) {
 			if ppc, ok := s.parents.lookup(r); ok {
 				s.bits.set(ppc)
 			}

@@ -32,7 +32,10 @@ type SliceBalance struct {
 	parents parentTable
 	im      *imbalance
 	table   map[int]*sliceState // slice id (defining pc) -> state
-	srcBuf  []isa.Reg
+	// srcBuf is observe's scratch for an instruction's slice sources (at
+	// most two). An array, so a clone's struct copy carries it and no
+	// decode allocates.
+	srcBuf [2]isa.Reg
 	// Remaps counts whole-slice reassignments (reported by the ablation
 	// benches; the priority scheme exists to reduce these).
 	Remaps uint64
@@ -70,8 +73,7 @@ func (s *SliceBalance) observe(info *core.SteerInfo) (int, bool) {
 	}
 	sid, inSlice := s.ids.get(pc)
 	if inSlice {
-		s.srcBuf = sliceSources(s.kind, in, s.srcBuf[:0])
-		for _, r := range s.srcBuf {
+		for _, r := range sliceSources(s.kind, in, s.srcBuf[:0]) {
 			if ppc, ok := s.parents.lookup(r); ok {
 				s.ids.set(ppc, sid)
 			}
