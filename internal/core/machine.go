@@ -297,11 +297,7 @@ func (m *Machine) CommittedInstructions() uint64 { return m.committedProg }
 
 // --- Allocation-free plumbing: pools, rings, and the timing wheel ---
 
-// newDynPool returns a recycle pool holding n zeroed DynInsts, with room
-// for n. They are allocated one by one: as small objects they are reused
-// across machines through the allocator's size classes, where one large
-// backing array per machine raised the grid benchmark's peak resident
-// set.
+// newDynPool returns a recycle pool holding n zeroed DynInsts.
 func newDynPool(n int) []*DynInst {
 	pool := make([]*DynInst, n)
 	for i := range pool {
