@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake-sweep cover fuzz bench bench-smoke serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
+.PHONY: all build test race flake-sweep cover fuzz bench-smoke serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
 
 all: build
 
@@ -82,12 +82,6 @@ trace-smoke:
 # the response without touching the stored result.
 probe-smoke:
 	./ci/probe_smoke.sh
-
-# Regenerate the reference benchmark records (BENCH_core.json,
-# BENCH_clusters.json, BENCH_serve.json) with current environment metadata
-# so the checked-in numbers cannot drift silently from the code.
-bench:
-	$(GO) run ./cmd/dcabenchref
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -336,8 +336,7 @@ func BenchmarkExtensionSymmetricClusters(b *testing.B) {
 // cell — the simulation work grows with clusters, not just the fabric).
 // The grid is fig14's (modulo, general, ub + implicit base over all
 // benchmarks) — the paper's headline figure and a representative mix of
-// cheap and expensive cells. Compare ns/op across the sub-benchmarks;
-// BENCH_clusters.json records a reference run.
+// cheap and expensive cells. Compare ns/op across the sub-benchmarks.
 //
 // All sub-benchmarks share one job.Checkpointed runner, the intended
 // production shape for repeated grids: the first run of each cell pays
@@ -374,9 +373,9 @@ func BenchmarkGridParallelism(b *testing.B) {
 // re-executes the functional emulator inside every cell, "traced" records
 // each benchmark's oracle stream once (internal/trace) and replays the
 // compact encoding for every other scheme cell. The ratio of the two
-// ns/op values is the grid-throughput multiple BENCH_trace.json records;
-// results are bit-identical either way (golden-locked by
-// TestGoldenTracedRunner).
+// ns/op values is the traced grid's throughput multiple (EXPERIMENTS.md,
+// "Earlier per-layer readings", records one); results are bit-identical
+// either way (golden-locked by TestGoldenTracedRunner).
 func BenchmarkTraceReplay(b *testing.B) {
 	for _, mode := range []string{"direct", "traced"} {
 		b.Run(mode, func(b *testing.B) {

@@ -2,12 +2,15 @@
 // static-analysis lints, written as ordinary Go tests so `go test ./...`
 // (and the CI workflow's doc-lint step) enforces them on every package:
 // gofmt-clean sources, a package doc comment on every package (including
-// commands and examples), and a clean dcalint run — the internal/lint
-// analyzer suite that proves the determinism, hot-path-allocation,
-// lock-discipline and wire-contract invariants at the source level.
+// commands and examples), top-level docs that name only commands, make
+// targets and benchmark records that exist, and a clean dcalint run — the
+// internal/lint analyzer suite that proves the determinism,
+// hot-path-allocation, lock-discipline and wire-contract invariants at the
+// source level.
 package ci
 
 import (
+	"fmt"
 	"go/ast"
 	"go/format"
 	"go/parser"
@@ -15,6 +18,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -275,6 +279,50 @@ func TestProbeSuiteWired(t *testing.T) {
 		}
 		if !strings.Contains(string(src), "probe_smoke.sh") {
 			t.Errorf("%s does not run the end-to-end probe smoke", path)
+		}
+	}
+}
+
+// TestDocReferencesExist requires every command, make target and
+// benchmark record that the top-level documents name to exist: `cmd/<name>`
+// must be a directory under cmd/, "`make <target>" a Makefile target, and
+// BENCH_<name>.json a file at the module root. A deleted tool, target or
+// record then cannot linger in the docs.
+func TestDocReferencesExist(t *testing.T) {
+	makefile, err := os.ReadFile(filepath.Join(repoRoot, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(filepath.Join(repoRoot, path))
+		return err == nil
+	}
+	refs := []struct {
+		re     *regexp.Regexp
+		form   string // the reference, from its captured name
+		exists func(name string) bool
+	}{
+		{regexp.MustCompile(`\bcmd/([a-z0-9]+)`), "cmd/%s", func(n string) bool { return exists(filepath.Join("cmd", n)) }},
+		{regexp.MustCompile("`make ([A-Za-z0-9_.-]+)"), "make %s", func(n string) bool { return targets[n] }},
+		{regexp.MustCompile(`\bBENCH_([A-Za-z0-9_]+)\.json`), "BENCH_%s.json", func(n string) bool { return exists("BENCH_" + n + ".json") }},
+	}
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(filepath.Join(repoRoot, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, ref := range refs {
+				for _, m := range ref.re.FindAllStringSubmatch(line, -1) {
+					if !ref.exists(m[1]) {
+						t.Errorf("%s:%d names %s, which does not exist", doc, i+1, fmt.Sprintf(ref.form, m[1]))
+					}
+				}
+			}
 		}
 	}
 }

@@ -53,10 +53,10 @@ func main() {
 	opts.Clusters = *clusters
 	opts.Attrib = *attrib
 	if *progress {
-		opts.Progress = func(p experiments.Progress) {
+		opts.Progress = func(p job.Progress) {
 			if p.Err != nil {
 				fmt.Fprintf(os.Stderr, "[%3d/%3d] %s/%s FAILED: %v\n",
-					p.Completed, p.Total, p.Cell.Scheme, p.Cell.Benchmark, p.Err)
+					p.Completed, p.Total, p.Job.Scheme, p.Job.Benchmark, p.Err)
 				return
 			}
 			eta := "--"
@@ -64,7 +64,7 @@ func main() {
 				eta = p.Remaining.Round(time.Second).String()
 			}
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-16s %-8s %8v  ETA %s\n",
-				p.Completed, p.Total, p.Cell.Scheme, p.Cell.Benchmark,
+				p.Completed, p.Total, p.Job.Scheme, p.Job.Benchmark,
 				p.Elapsed.Round(time.Millisecond), eta)
 		}
 	}
@@ -121,20 +121,11 @@ func main() {
 		}
 	}
 
-	// Collect the union of schemes the requested exhibits need and run the
-	// grid once.
-	seen := map[string]bool{}
-	var schemes []string
-	for _, e := range wanted {
-		for _, s := range e.Schemes {
-			if !seen[s] {
-				seen[s] = true
-				schemes = append(schemes, s)
-			}
-		}
-	}
+	// Run the union of the schemes the requested exhibits need as one
+	// grid; the base machine is added to it.
+	schemes := experiments.SchemesFor(wanted)
 	effBenches := job.GridSpec{Benchmarks: opts.Benchmarks}.EffectiveBenchmarks()
-	workers := opts.Workers(len(experiments.Cells(schemes, effBenches)))
+	workers := job.Workers(opts.Parallelism, (len(schemes)+1)*len(effBenches))
 	start := time.Now()
 	fmt.Fprintf(human, "running %d scheme(s) x %d benchmark(s), %d+%d instructions each, %d worker(s)...\n\n",
 		len(schemes)+1, len(effBenches), opts.Warmup, opts.Measure, workers)
@@ -164,10 +155,7 @@ func main() {
 		fmt.Fprintf(human, "raw grid written to %s\n", *csvPath)
 	}
 	if *jsonPath != "" {
-		export, err := res.Export()
-		if err != nil {
-			fatal(err)
-		}
+		export := res.Export()
 		raw, err := json.MarshalIndent(export, "", "  ")
 		if err != nil {
 			fatal(err)

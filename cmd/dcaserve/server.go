@@ -418,12 +418,12 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		// concurrent grid requests still run at most `parallelism` cells
 		// in total instead of K pools of that size each.
 		Runner: semRunner{sem: s.sem, next: s.runner},
-		Progress: func(p experiments.Progress) {
+		Progress: func(p job.Progress) {
 			emit(gridEvent{
 				Type: "progress",
 				Progress: &gridProgress{
-					Scheme:      p.Cell.Scheme,
-					Benchmark:   p.Cell.Benchmark,
+					Scheme:      p.Job.Scheme,
+					Benchmark:   p.Job.Benchmark,
 					Completed:   p.Completed,
 					Total:       p.Total,
 					ElapsedMS:   float64(p.Elapsed.Microseconds()) / 1e3,
@@ -437,12 +437,7 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		emit(gridEvent{Type: "error", Error: err.Error()})
 		return
 	}
-	export, err := res.Export()
-	if err != nil {
-		emit(gridEvent{Type: "error", Error: err.Error()})
-		return
-	}
-	emit(gridEvent{Type: "result", Grid: export})
+	emit(gridEvent{Type: "result", Grid: res.Export()})
 }
 
 // semRunner gates a runner behind the server's simulation semaphore.

@@ -395,8 +395,7 @@ func TestHealthz(t *testing.T) {
 
 // BenchmarkServeThroughput measures end-to-end service throughput on the
 // tiny 1k-instruction job, with GOMAXPROCS concurrent clients hammering
-// one server (jobs/sec = 1e9 / ns/op; BENCH_serve.json records a
-// reference run):
+// one server (jobs/sec = 1e9 / ns/op):
 //
 //	cold — every request is a distinct job key: each op pays one full
 //	       simulation through the HTTP stack.
@@ -405,9 +404,8 @@ func TestHealthz(t *testing.T) {
 func BenchmarkServeThroughput(b *testing.B) {
 	bench := func(b *testing.B, body func(i int64) string) {
 		// Silence the access log: a line per request would dominate the
-		// measurement and corrupt `go test -bench` output parsing
-		// (cmd/dcabenchref), since the test binary's stderr is merged into
-		// go test's stdout mid-line.
+		// measurement and corrupt `go test -bench` output, since the test
+		// binary's stderr is merged into go test's stdout mid-line.
 		prev := logf
 		logf = func(string, ...any) {}
 		b.Cleanup(func() { logf = prev })

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/asm"
@@ -58,7 +59,7 @@ func main() {
 		konata     = flag.String("konata", "", "write a Konata (Kanata) pipeline trace of the run to this file")
 		konataFrom = flag.Uint64("konata-from", 0, "first cycle of the Konata export window")
 		konataTo   = flag.Uint64("konata-to", 0, "last cycle of the Konata export window (0 = to the end)")
-		disagree   = flag.Bool("disagree", false, "replay one recorded oracle stream through every scheme and print the steering disagreement matrix")
+		disagree   = flag.Bool("disagree", false, "run -bench under every scheme and print the steering disagreement matrix")
 	)
 	flag.Parse()
 
@@ -66,6 +67,11 @@ func main() {
 		fmt.Println("workloads:", workload.Names())
 		fmt.Println("schemes:  ", steer.Names())
 		return
+	}
+	if *disagree {
+		if err := checkDisagree(flag.Visit); err != nil {
+			fatal(err)
+		}
 	}
 	if err := job.ValidateClusters(*clusters); err != nil {
 		fatal(err)
@@ -214,9 +220,31 @@ func main() {
 	}
 }
 
-// runDisagree replays one oracle recording of the benchmark through every
-// registered steering scheme and prints how often each pair placed the
-// same instruction differently.
+// disagreeExcludes names the flags that change what a single run
+// simulates or observes. -disagree runs its own grid — -bench under every
+// scheme on the -clusters machine — so it would ignore them.
+var disagreeExcludes = []string{
+	"program", "replay", "machine", "scheme",
+	"pipetrace", "attrib", "konata", "konata-from", "konata-to",
+}
+
+// checkDisagree rejects -disagree beside any flag of disagreeExcludes that
+// visit (flag.Visit: the flags set explicitly) reports, naming it.
+func checkDisagree(visit func(func(*flag.Flag))) error {
+	var bad string
+	visit(func(f *flag.Flag) {
+		if bad == "" && slices.Contains(disagreeExcludes, f.Name) {
+			bad = f.Name
+		}
+	})
+	if bad != "" {
+		return fmt.Errorf("-disagree runs -bench under every scheme; it does not take -%s", bad)
+	}
+	return nil
+}
+
+// runDisagree runs the benchmark under every registered steering scheme
+// and prints how often each pair placed the same instruction differently.
 func runDisagree(bench string, clusters int, warmup, measure uint64) error {
 	schemes := steer.Names()
 	sort.Strings(schemes)
@@ -230,7 +258,7 @@ func runDisagree(bench string, clusters int, warmup, measure uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("steering disagreement on %s (%% of decisions placed on different clusters;\none oracle recording replayed through every scheme, decisions index-aligned):\n\n%s",
+	fmt.Printf("steering disagreement on %s (%% of decisions placed on different clusters;\nevery scheme steers the same committed-path stream, decisions index-aligned):\n\n%s",
 		bench, d.Table())
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"strings"
 	"testing"
 
 	"repro/internal/job"
@@ -32,5 +34,41 @@ func TestPlanJobIsTheCanonicalCell(t *testing.T) {
 	}
 	if _, err := planJob("general", "go", "base", 4, 10, 20); err == nil {
 		t.Error("-machine base accepted a cluster count")
+	}
+}
+
+// TestCheckDisagree: -disagree runs its own grid, so every flag that would
+// change what a single run simulates or observes is refused by name, and
+// the flags the grid does use are accepted.
+func TestCheckDisagree(t *testing.T) {
+	for _, tc := range []struct {
+		set     []string // flags set explicitly, as flag.Visit reports them
+		refused string   // "" when the combination is accepted
+	}{
+		{nil, ""},
+		{[]string{"bench", "clusters", "warmup", "measure", "disagree"}, ""},
+		{[]string{"disagree", "program"}, "program"},
+		{[]string{"bench", "disagree", "replay"}, "replay"},
+		{[]string{"disagree", "machine"}, "machine"},
+		{[]string{"disagree", "scheme"}, "scheme"},
+		{[]string{"disagree", "pipetrace"}, "pipetrace"},
+		{[]string{"attrib", "disagree"}, "attrib"},
+		{[]string{"disagree", "konata"}, "konata"},
+		{[]string{"disagree", "konata-from"}, "konata-from"},
+		{[]string{"disagree", "konata-to"}, "konata-to"},
+	} {
+		err := checkDisagree(func(fn func(*flag.Flag)) {
+			for _, name := range tc.set {
+				fn(&flag.Flag{Name: name})
+			}
+		})
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%v: refused: %v", tc.set, err)
+		case tc.refused != "" && err == nil:
+			t.Errorf("%v: accepted, want -%s refused", tc.set, tc.refused)
+		case tc.refused != "" && !strings.Contains(err.Error(), "-"+tc.refused):
+			t.Errorf("%v: error %q does not name -%s", tc.set, err, tc.refused)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Per-cycle benchmark suite for the simulator core, plus the steady-state
-// allocation gate. BENCH_core.json records a reference run; regenerate it
-// with `make bench`.
+// allocation gate. `make bench-smoke` runs the benchmarks briefly; the
+// repository's recorded performance comes from perfbench (BENCHMARK.json).
 package core_test
 
 import (
@@ -189,9 +189,10 @@ func newReplayBenchMachine(tb testing.TB, bc benchCase) *core.Machine {
 
 // BenchmarkMachineCycle measures the steady-state cost of one simulated
 // cycle (ns/op = ns per cycle) for each representative (config, scheme)
-// point. The acceptance bar for the allocation-free rewrite is >=2x
+// point. The acceptance bar for the allocation-free rewrite was >=2x
 // cycles/sec over the pre-optimization baseline with 0 allocs/op; see
-// BENCH_core.json for the recorded before/after.
+// EXPERIMENTS.md ("Earlier per-layer readings") for the recorded
+// before/after.
 func BenchmarkMachineCycle(b *testing.B) {
 	for _, bc := range benchCases() {
 		b.Run(bc.name, func(b *testing.B) {

@@ -95,7 +95,7 @@ func (m *Machine) ffIdle() bool {
 	// stall after it), so it forfeits the skip.
 	if dispatchable {
 		fi := m.dqFront()
-		target := m.resolveTarget(fi)
+		target, _ := m.resolveTarget(fi)
 		plans, nPlans, err := m.planCopies(fi, target)
 		if err != nil || (nPlans > 0 && m.cfg.InterClusterBuses == 0) {
 			return false // step normally and let dispatch surface the error

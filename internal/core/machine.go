@@ -874,31 +874,38 @@ type copyPlan struct {
 }
 
 // resolveTarget maps an already-steered front instruction to its final
-// placement: out-of-range policy answers clamp to the integer cluster, the
-// capability safety net moves operations to a cluster that can execute them
-// (a policy on a partially symmetric machine could otherwise deadlock an FP
-// multiply in a cluster with only FP adders; the nearest capable cluster,
-// by copy distance with ties to the lowest index, takes over), and in FIFO
-// mode the joint cluster+FIFO heuristic of Palacharla/Jouppi/Smith runs
-// with the policy's choice as tie-break. It is pure: fast-forward's
-// idleness predicate shares it with dispatch.
+// placement and names the mechanism that decided it: out-of-range policy
+// answers clamp to the integer cluster, the capability safety net moves
+// operations to a cluster that can execute them (a policy on a partially
+// symmetric machine could otherwise deadlock an FP multiply in a cluster
+// with only FP adders; the nearest capable cluster, by copy distance with
+// ties to the lowest index, takes over), and in FIFO mode the joint
+// cluster+FIFO heuristic of Palacharla/Jouppi/Smith runs with the policy's
+// choice as tie-break. It is pure: fast-forward's idleness predicate and
+// the steering probe share it with dispatch.
 //
 //dca:hotpath
-func (m *Machine) resolveTarget(fi *fetched) ClusterID {
+func (m *Machine) resolveTarget(fi *fetched) (ClusterID, SteerReason) {
 	in := fi.step.Inst
-	target := fi.target
+	forced := m.decoded[fi.step.PC].forced
+	target, reason := fi.target, ReasonPolicy
+	if forced != AnyCluster {
+		reason = ReasonForced
+	}
 	if target < 0 || int(target) >= m.cfg.NumClusters() {
-		target = IntCluster
+		target, reason = IntCluster, ReasonClamped
 	}
 	if !m.fus[target].CanEverIssue(in.Op) && m.cfg.NumClusters() > 1 {
 		if c := m.nearestIn(m.capableClusters(in.Op), target); c != AnyCluster {
-			target = c
+			target, reason = c, ReasonCapability
 		}
 	}
 	if m.cfg.Mode == config.IQFIFO {
-		target = m.fifoCluster(fi, m.decoded[fi.step.PC].forced, target)
+		if f := m.fifoCluster(fi, forced, target); f != target {
+			target, reason = f, ReasonFIFO
+		}
 	}
-	return target
+	return target, reason
 }
 
 // planCopies computes the inter-cluster copies that placing fi on target
@@ -999,7 +1006,7 @@ func (m *Machine) dispatch() error {
 			fi.target = target
 			m.probeSteered(fi, forced, policy)
 		}
-		target := m.resolveTarget(fi)
+		target, _ := m.resolveTarget(fi)
 
 		// Plan the copies this placement requires.
 		plans, nPlans, err := m.planCopies(fi, target)

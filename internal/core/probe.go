@@ -343,9 +343,7 @@ func (m *Machine) probeFetched(fi *fetched) {
 }
 
 // probeSteered captures the steering decision the dispatch stage just
-// made. Final and Reason mirror resolveTarget's pure placement pipeline
-// (clamp, capability safety net, FIFO heuristic), re-run here step by
-// step so the record can say which mechanism decided.
+// made; Final and Reason are resolveTarget's.
 //
 //dca:hotpath
 func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
@@ -364,29 +362,7 @@ func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
 			dec.IQLen[c] = m.iqs[c].Len()
 			dec.IQFree[c] = m.iqs[c].Free()
 		}
-		target := fi.target
-		reason := ReasonPolicy
-		if forced != AnyCluster {
-			reason = ReasonForced
-		}
-		if target < 0 || int(target) >= nc {
-			target = IntCluster
-			reason = ReasonClamped
-		}
-		if !m.fus[target].CanEverIssue(fi.step.Inst.Op) && nc > 1 {
-			if c := m.nearestIn(m.capableClusters(fi.step.Inst.Op), target); c != AnyCluster {
-				target = c
-				reason = ReasonCapability
-			}
-		}
-		if m.cfg.Mode == config.IQFIFO {
-			if f := m.fifoCluster(fi, m.decoded[fi.step.PC].forced, target); f != target {
-				target = f
-				reason = ReasonFIFO
-			}
-		}
-		dec.Final = target
-		dec.Reason = reason
+		dec.Final, dec.Reason = m.resolveTarget(fi)
 		m.probe.Steer(dec)
 	}
 }

@@ -1,5 +1,5 @@
-// Probe-seam cost benchmarks. BENCH_probe.json records a reference run
-// (regenerate with `make bench`): the detached sub-benchmark must sit
+// Probe-seam cost benchmarks (EXPERIMENTS.md, "Earlier per-layer
+// readings", records a reference run): the detached sub-benchmark must sit
 // within noise of BenchmarkMachineCycle's matching case — the seam is a
 // nil check on the hot path and nothing more — while the attached
 // sub-benchmarks price what -attrib and -konata actually cost.

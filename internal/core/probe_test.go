@@ -28,6 +28,7 @@ import (
 	"repro/internal/rdg"
 	"repro/internal/stats"
 	"repro/internal/steer"
+	"repro/internal/workload"
 )
 
 // fullProbeStack builds the complete built-in probe complement — cycle
@@ -243,5 +244,107 @@ loop:
 		if cyc < 100 || cyc > 105 {
 			t.Fatalf("trace line outside window: %q", line)
 		}
+	}
+}
+
+// steerLog is a probe that checks each steering decision against the
+// dispatch that follows it: an instruction dispatched in its decision cycle
+// must land on the decision's Final cluster. It also counts decisions by
+// reason.
+type steerLog struct {
+	decided  map[uint64]core.SteerDecision // by ProgSeq, until dispatch
+	reasons  [core.NumSteerReasons]int
+	checked  int
+	mismatch []string
+}
+
+func (l *steerLog) Fetch(uint64, *core.FetchInfo) {}
+func (l *steerLog) Cycle(*core.CycleSample)       {}
+
+func (l *steerLog) Steer(dec *core.SteerDecision) {
+	l.decided[dec.ProgSeq] = *dec
+	l.reasons[dec.Reason]++
+}
+
+func (l *steerLog) Event(cycle uint64, ev core.Event, d *core.DynInst) {
+	if ev != core.EvDispatch || d.IsCopy {
+		return
+	}
+	dec, ok := l.decided[d.ProgSeq]
+	if !ok {
+		return
+	}
+	delete(l.decided, d.ProgSeq)
+	if dec.Cycle != cycle {
+		return // dispatched on a later attempt: Final promised only this cycle
+	}
+	l.checked++
+	if d.Cluster != dec.Final && len(l.mismatch) < 5 {
+		l.mismatch = append(l.mismatch, fmt.Sprintf("cycle %d seq %d (%v): Final %d (%v), dispatched to %d",
+			cycle, d.ProgSeq, dec.Inst, dec.Final, dec.Reason, d.Cluster))
+	}
+}
+
+// clusterSeven answers a cluster no preset has, so the machine must clamp.
+type clusterSeven struct{ core.NaiveSteerer }
+
+func (clusterSeven) Steer(*core.SteerInfo) core.ClusterID { return 7 }
+
+// TestSteerDecisionMatchesDispatch locks the probe's SteerDecision to the
+// placement dispatch makes. Each case reaches the reasons it names — the
+// policy's own answer and a datapath constraint on the paper's machine,
+// the FIFO heuristic, the capability safety net on a 4-cluster machine
+// whose cluster 3 lacks the FP mul/div and complex-integer units, and the
+// clamp of an out-of-range answer — and every instruction dispatched in
+// its decision cycle must land on the decision's Final cluster.
+func TestSteerDecisionMatchesDispatch(t *testing.T) {
+	noMulDiv := config.ClusteredN(4)
+	noMulDiv.Clusters[3].FPMulDivUnits = 0
+	noMulDiv.Clusters[3].ComplexIntUnits = 0
+	for _, tc := range []struct {
+		name   string
+		cfg    *config.Config
+		scheme string // "" steers with clusterSeven
+		want   []core.SteerReason
+	}{
+		{"policy+forced", config.Clustered(), "general", []core.SteerReason{core.ReasonPolicy, core.ReasonForced}},
+		{"fifo", config.FIFOClustered(), "fifo", []core.SteerReason{core.ReasonFIFO}},
+		{"capability", noMulDiv, "random", []core.SteerReason{core.ReasonCapability}},
+		{"clamped", config.Clustered(), "", []core.SteerReason{core.ReasonClamped}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := workload.Load("ijpeg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st core.Steerer = clusterSeven{}
+			if tc.scheme != "" {
+				params := steer.DefaultParams()
+				params.Clusters = tc.cfg.NumClusters()
+				if st, err = steer.NewWithParams(tc.scheme, p, params); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := core.New(tc.cfg, p, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := &steerLog{decided: map[uint64]core.SteerDecision{}}
+			m.SetProbe(l)
+			if _, err := m.Run(20_000); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tc.want {
+				if l.reasons[r] == 0 {
+					t.Errorf("no decision with reason %v (counts %v)", r, l.reasons)
+				}
+			}
+			if l.checked == 0 {
+				t.Fatal("no instruction dispatched in its decision cycle")
+			}
+			for _, s := range l.mismatch {
+				t.Error(s)
+			}
+		})
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // FormatAttribution renders the grid's stall breakdowns as text, one
@@ -16,25 +14,14 @@ func (r *Result) FormatAttribution() string {
 	if r.attrib == nil {
 		return ""
 	}
-	schemes := make([]string, 0, len(r.Runs))
-	for _, s := range stats.SortedKeys(r.Runs) {
-		if s != BaseScheme {
-			schemes = append(schemes, s)
-		}
-	}
-	if _, ok := r.Runs[BaseScheme]; ok {
-		schemes = append([]string{BaseScheme}, schemes...)
-	}
 	var sb strings.Builder
-	for _, scheme := range schemes {
-		for _, bench := range r.Opts.Benchmarks {
-			rep := r.Attribution(scheme, bench)
-			if rep == nil {
-				continue
-			}
-			fmt.Fprintf(&sb, "%s/%s — where %d measured cycles went:\n%s\n",
-				scheme, bench, rep.TotalCycles, rep.Table())
+	for _, j := range r.reportJobs() {
+		rep := r.attrib.Report(j.Key())
+		if rep == nil {
+			continue
 		}
+		fmt.Fprintf(&sb, "%s/%s — where %d measured cycles went:\n%s\n",
+			j.Scheme, j.Benchmark, rep.TotalCycles, rep.Table())
 	}
 	return sb.String()
 }

@@ -2,64 +2,11 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/job"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// Cell identifies one (scheme, benchmark) cell of the evaluation grid.
-// Cells are fully independent — each owns a fresh core.Machine — so the
-// engine is free to simulate them in any order and on any worker.
-type Cell struct {
-	Scheme    string
-	Benchmark string
-}
-
-// Progress reports one completed cell to Options.Progress. Completed counts
-// finished cells (including the reporting one); Remaining estimates the
-// wall-clock time left for the rest of the grid from the throughput so far
-// (zero until a second cell lands — see job.Progress).
-type Progress struct {
-	Cell Cell
-	// Completed and Total count grid cells; Completed includes this one.
-	Completed int
-	Total     int
-	// Elapsed is this cell's own simulation time.
-	Elapsed time.Duration
-	// Remaining is the ETA for the unfinished cells.
-	Remaining time.Duration
-	// Err is non-nil when the cell failed (the grid is being cancelled).
-	Err error
-}
-
-// Cells expands (schemes, benchmarks) into the grid's cell list in
-// deterministic order: BaseScheme first (every figure normalizes to it),
-// then the requested schemes in input order with duplicates dropped, each
-// crossed with the benchmarks in input order.
-func Cells(schemes, benches []string) []Cell {
-	withBase := append([]string{BaseScheme}, schemes...)
-	seen := make(map[string]bool, len(withBase))
-	cells := make([]Cell, 0, len(withBase)*len(benches))
-	for _, scheme := range withBase {
-		if seen[scheme] {
-			continue
-		}
-		seen[scheme] = true
-		for _, bench := range benches {
-			cells = append(cells, Cell{Scheme: scheme, Benchmark: bench})
-		}
-	}
-	return cells
-}
-
-// Workers returns the effective worker-pool size for a grid of n cells:
-// Parallelism, defaulted to runtime.GOMAXPROCS(0) when unset, clamped to
-// the cell count.
-func (o Options) Workers(n int) int {
-	return job.Workers(o.Parallelism, n)
-}
 
 // gridSpec translates the grid request into the job layer's serializable
 // form, with BaseScheme prepended (every figure normalizes to it).
@@ -75,18 +22,18 @@ func gridSpec(schemes []string, opts Options) job.GridSpec {
 	}
 }
 
-// RunContext plans the grid as canonical jobs (see internal/job) and
-// simulates them on the job layer's bounded worker pool (see
-// Options.Workers); the first cell error cancels the remaining work and is
-// returned. The assembled Result is identical to a serial run's — cells
-// are independent, and the output map is built from a positionally indexed
-// slice, so worker scheduling cannot leak into the numbers or their
-// grouping. Injecting Options.Runner (e.g. a store.Cached) reuses results
-// across grids without touching the numbers: cache hits are bit-identical
-// to fresh simulations.
+// RunContext plans the grid as canonical jobs (job.GridSpec.Plan: base
+// first, then the requested schemes in input order with duplicates
+// dropped, each crossed with the benchmarks) and simulates them on the job
+// layer's bounded worker pool (job.RunAll); the first cell error cancels
+// the remaining work and is returned. The assembled Result is identical to
+// a serial run's — cells are independent, and the output map is built from
+// a positionally indexed slice, so worker scheduling cannot leak into the
+// numbers or their grouping. Injecting Options.Runner (e.g. a
+// store.Cached) reuses results across grids without touching the numbers:
+// cache hits are bit-identical to fresh simulations.
 func RunContext(ctx context.Context, schemes []string, opts Options) (*Result, error) {
-	spec := gridSpec(schemes, opts)
-	jobs, err := spec.Plan()
+	jobs, err := gridSpec(schemes, opts).Plan()
 	if err != nil {
 		return nil, err
 	}
@@ -96,19 +43,6 @@ func RunContext(ctx context.Context, schemes []string, opts Options) (*Result, e
 		opts.Benchmarks = workload.Names()
 	}
 
-	var progress func(job.Progress)
-	if opts.Progress != nil {
-		progress = func(p job.Progress) {
-			opts.Progress(Progress{
-				Cell:      Cell{Scheme: p.Job.Scheme, Benchmark: p.Job.Benchmark},
-				Completed: p.Completed,
-				Total:     p.Total,
-				Elapsed:   p.Elapsed,
-				Remaining: p.Remaining,
-				Err:       p.Err,
-			})
-		}
-	}
 	// With Opts.Attrib set, every cell that simulates does so with a
 	// cycle-attribution probe attached; the wrapper keeps the reports by
 	// job key and rides on the Result for retrieval. Probes are passive,
@@ -123,7 +57,7 @@ func RunContext(ctx context.Context, schemes []string, opts Options) (*Result, e
 	runs, err := job.RunAll(ctx, jobs, job.PoolOptions{
 		Parallelism: opts.Parallelism,
 		Runner:      runner,
-		Progress:    progress,
+		Progress:    opts.Progress,
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +65,7 @@ func RunContext(ctx context.Context, schemes []string, opts Options) (*Result, e
 
 	// Assemble the map in job order — deterministic regardless of which
 	// worker finished when.
-	res := &Result{Runs: make(map[string]map[string]*stats.Run), Opts: opts, attrib: attrib}
+	res := &Result{Runs: make(map[string]map[string]*stats.Run), Opts: opts, jobs: jobs, attrib: attrib}
 	for i, j := range jobs {
 		m, ok := res.Runs[j.Scheme]
 		if !ok {

@@ -163,9 +163,9 @@ func TestProgressCallback(t *testing.T) {
 	opts.Parallelism = runtime.NumCPU()
 	var (
 		mu    sync.Mutex
-		calls []Progress
+		calls []job.Progress
 	)
-	opts.Progress = func(p Progress) {
+	opts.Progress = func(p job.Progress) {
 		mu.Lock()
 		calls = append(calls, p)
 		mu.Unlock()
@@ -188,8 +188,8 @@ func TestProgressCallback(t *testing.T) {
 		if p.Err != nil {
 			t.Errorf("call %d: unexpected error %v", i, p.Err)
 		}
-		if res.Get(p.Cell.Scheme, p.Cell.Benchmark) == nil {
-			t.Errorf("call %d: cell %v not in the result", i, p.Cell)
+		if res.Get(p.Job.Scheme, p.Job.Benchmark) == nil {
+			t.Errorf("call %d: cell %s/%s not in the result", i, p.Job.Scheme, p.Job.Benchmark)
 		}
 	}
 	// ETA guard: one completed cell is a sample taken while the pool was
@@ -202,17 +202,30 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestCellsOrder checks the deterministic cell expansion: base first,
-// duplicates dropped, input order preserved.
-func TestCellsOrder(t *testing.T) {
-	cells := Cells([]string{"general", BaseScheme, "general", "modulo"}, []string{"go", "gcc"})
-	want := []Cell{
+// TestPlannedCellOrder checks the cell order of the jobs RunContext plans
+// and keeps on the Result: base first, duplicates dropped, input order
+// preserved, each scheme crossed with the benchmarks in input order.
+func TestPlannedCellOrder(t *testing.T) {
+	opts := smallOpts()
+	opts.Benchmarks = []string{"go", "gcc"}
+	opts.Runner = runnerFunc(func(_ context.Context, j job.Job) (*stats.Run, error) {
+		return &stats.Run{Scheme: j.Scheme, Benchmark: j.Benchmark, Cycles: 1, Instructions: 1}, nil
+	})
+	res, err := Run([]string{"general", BaseScheme, "general", "modulo"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][2]string
+	for _, j := range res.jobs {
+		got = append(got, [2]string{j.Scheme, j.Benchmark})
+	}
+	want := [][2]string{
 		{BaseScheme, "go"}, {BaseScheme, "gcc"},
 		{"general", "go"}, {"general", "gcc"},
 		{"modulo", "go"}, {"modulo", "gcc"},
 	}
-	if !reflect.DeepEqual(cells, want) {
-		t.Errorf("Cells = %v, want %v", cells, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("planned cells = %v, want %v", got, want)
 	}
 }
 

@@ -46,10 +46,11 @@ type Options struct {
 	// 0 or negative means runtime.GOMAXPROCS(0). Results are identical at
 	// every setting — each cell owns its machine.
 	Parallelism int
-	// Progress, when non-nil, is invoked once per completed cell with
-	// running totals and an ETA. The engine serializes the calls, but they
-	// arrive from worker goroutines — keep the callback fast.
-	Progress func(Progress)
+	// Progress, when non-nil, is invoked once per completed cell with the
+	// cell's job, running totals and an ETA (see job.Progress). The engine
+	// serializes the calls, but they arrive from worker goroutines — keep
+	// the callback fast.
+	Progress func(job.Progress)
 	// Runner executes each cell; nil means job.Direct{} (simulate
 	// in-process). Inject a store.Cached to reuse results across grids, or
 	// a job.Checkpointed to simulate each cell's warm phase once and replay
@@ -68,11 +69,10 @@ type Options struct {
 
 // DefaultOptions returns the standard grid configuration. The default
 // window is 100k warm-up + 1M measured instructions per cell — raised 4x
-// after the allocation-free hot-loop rewrite made cycles cheap (see
-// BENCH_core.json and the window-length sensitivity section of
-// EXPERIMENTS.md). Benchmarks is left nil — the full set is planned
-// lazily by the job layer — so building Options allocates nothing per
-// call.
+// after the allocation-free hot-loop rewrite made cycles cheap (see the
+// window-length sensitivity section of EXPERIMENTS.md). Benchmarks is
+// left nil — the full set is planned lazily by the job layer — so building
+// Options allocates nothing per call.
 func DefaultOptions() Options {
 	return Options{
 		Warmup:  100_000,
@@ -88,6 +88,10 @@ type Result struct {
 	// Opts echoes the options the grid ran with.
 	Opts Options
 
+	// jobs are the cells' canonical jobs as RunContext planned them (base
+	// first, then the requested schemes in input order), so the export
+	// and the attribution lookup name exactly the jobs that ran.
+	jobs []job.Job
 	// attrib holds the per-cell stall breakdowns when Opts.Attrib was set
 	// (the job.Attributed wrapper the grid ran through).
 	attrib *job.Attributed
@@ -132,25 +136,6 @@ func (r *Result) Get(scheme, bench string) *stats.Run {
 	return nil
 }
 
-// cellKey re-plans the cell's canonical job and returns its content
-// digest; planning is deterministic, so the key matches the job the grid
-// actually ran.
-func (r *Result) cellKey(scheme, bench string) (string, error) {
-	params := r.Opts.Params
-	j, err := job.Spec{
-		Scheme:    scheme,
-		Benchmark: bench,
-		Clusters:  r.Opts.Clusters,
-		Warmup:    r.Opts.Warmup,
-		Measure:   r.Opts.Measure,
-		Params:    &params,
-	}.Plan()
-	if err != nil {
-		return "", err
-	}
-	return j.Key(), nil
-}
-
 // Attribution returns the stall breakdown recorded for (scheme, bench):
 // nil when the grid ran without Opts.Attrib, or when the cell never
 // simulated in this process (e.g. it was served from an injected cache,
@@ -159,11 +144,12 @@ func (r *Result) Attribution(scheme, bench string) *probe.Report {
 	if r.attrib == nil {
 		return nil
 	}
-	key, err := r.cellKey(scheme, bench)
-	if err != nil {
-		return nil
+	for _, j := range r.jobs {
+		if j.Scheme == scheme && j.Benchmark == bench {
+			return r.attrib.Report(j.Key())
+		}
 	}
-	return r.attrib.Report(key)
+	return nil
 }
 
 // Speedup returns the percent IPC improvement of scheme over the base

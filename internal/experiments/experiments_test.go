@@ -116,7 +116,7 @@ func TestAllExhibitsRender(t *testing.T) {
 		t.Skip("full exhibit grid in -short mode")
 	}
 	opts := smallOpts()
-	res, err := Run(AllSchemes(), opts)
+	res, err := Run(SchemesFor(Exhibits()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/job"
 	"repro/internal/probe"
 	"repro/internal/stats"
@@ -36,54 +39,47 @@ type ExportCell struct {
 	Attribution *probe.Report `json:"attribution,omitempty"`
 }
 
-// Export re-plans the grid's jobs from the result's options (planning is
-// deterministic, so the digests match the jobs that actually ran) and
-// pairs them with the measurements.
-func (r *Result) Export() (*Export, error) {
-	schemes := make([]string, 0, len(r.Runs))
-	for _, s := range stats.SortedKeys(r.Runs) {
-		if s != BaseScheme {
-			schemes = append(schemes, s)
-		}
-	}
-	if _, ok := r.Runs[BaseScheme]; ok {
-		schemes = append([]string{BaseScheme}, schemes...)
-	}
+// Export pairs the jobs the grid ran with their measurements, in report
+// order (see reportJobs).
+func (r *Result) Export() *Export {
 	out := &Export{
 		Clusters:   r.Opts.Clusters,
 		Warmup:     r.Opts.Warmup,
 		Measure:    r.Opts.Measure,
 		Benchmarks: r.Opts.Benchmarks,
 	}
-	params := r.Opts.Params
-	for _, scheme := range schemes {
-		for _, bench := range r.Opts.Benchmarks {
-			run := r.Get(scheme, bench)
-			if run == nil {
-				continue
-			}
-			j, err := job.Spec{
-				Scheme:    scheme,
-				Benchmark: bench,
-				Clusters:  r.Opts.Clusters,
-				Warmup:    r.Opts.Warmup,
-				Measure:   r.Opts.Measure,
-				Params:    &params,
-			}.Plan()
-			if err != nil {
-				return nil, err
-			}
-			cell := ExportCell{
-				Job:          j,
-				Key:          j.Key(),
-				Result:       run,
-				ResultDigest: job.ResultDigest(run),
-			}
-			if r.attrib != nil {
-				cell.Attribution = r.attrib.Report(j.Key())
-			}
-			out.Cells = append(out.Cells, cell)
+	for _, j := range r.reportJobs() {
+		run := r.Get(j.Scheme, j.Benchmark)
+		if run == nil {
+			continue
 		}
+		cell := ExportCell{
+			Job:          j,
+			Key:          j.Key(),
+			Result:       run,
+			ResultDigest: job.ResultDigest(run),
+		}
+		if r.attrib != nil {
+			cell.Attribution = r.attrib.Report(cell.Key)
+		}
+		out.Cells = append(out.Cells, cell)
 	}
-	return out, nil
+	return out
+}
+
+// reportJobs returns the grid's jobs in report order: BaseScheme's first,
+// then the other schemes' sorted by name, each scheme's benchmarks in grid
+// order.
+func (r *Result) reportJobs() []job.Job {
+	rank := func(scheme string) string {
+		if scheme == BaseScheme {
+			return "" // scheme names are never empty, so base sorts first
+		}
+		return scheme
+	}
+	jobs := slices.Clone(r.jobs)
+	slices.SortStableFunc(jobs, func(a, b job.Job) int {
+		return strings.Compare(rank(a.Scheme), rank(b.Scheme))
+	})
+	return jobs
 }

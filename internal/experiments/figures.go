@@ -66,11 +66,13 @@ func ExhibitByID(id string) (Exhibit, bool) {
 	return Exhibit{}, false
 }
 
-// AllSchemes returns the union of schemes every exhibit needs.
-func AllSchemes() []string {
+// SchemesFor returns the union of the schemes the exhibits need, in
+// exhibit order without duplicates — the one grid that renders them all
+// (BaseScheme is implicit: the grid always adds it).
+func SchemesFor(exhibits []Exhibit) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, e := range Exhibits() {
+	for _, e := range exhibits {
 		for _, s := range e.Schemes {
 			if !seen[s] {
 				seen[s] = true

@@ -91,11 +91,7 @@ func TestGridAttribution(t *testing.T) {
 		}
 	}
 
-	exp, err := res.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range exp.Cells {
+	for _, cell := range res.Export().Cells {
 		if cell.Attribution == nil {
 			t.Errorf("%s/%s: export cell carries no attribution", cell.Job.Scheme, cell.Job.Benchmark)
 		} else if cell.Attribution.TotalCycles != cell.Result.Cycles {

@@ -74,13 +74,12 @@ func (a *Attributed) Report(key string) *probe.Report {
 	return a.reports[key]
 }
 
-// Disagreement replays one oracle trace through every scheme of the spec
-// (on the spec's single benchmark) with a steering-forensics probe
-// attached and builds the scheme×scheme disagreement matrix: because all
-// runs consume the same recorded stream, steering decision k is the same
-// program instruction everywhere, and the matrix compares placements
-// decision by decision. The recording is made once by the Traced runner
-// and shared across schemes.
+// Disagreement runs every scheme of the spec (on the spec's single
+// benchmark) with a steering-forensics probe attached and builds the
+// scheme×scheme disagreement matrix. The oracle stream does not depend on
+// the scheme, and each program instruction is steered once, in order, so
+// steering decision k is the same program instruction in every run and the
+// matrix compares placements decision by decision.
 func Disagreement(ctx context.Context, g GridSpec) (*probe.Disagreement, error) {
 	benches := g.EffectiveBenchmarks()
 	if len(benches) != 1 {
@@ -89,7 +88,6 @@ func Disagreement(ctx context.Context, g GridSpec) (*probe.Disagreement, error) 
 	if len(g.Schemes) == 0 {
 		return nil, fmt.Errorf("job: disagreement wants at least one scheme")
 	}
-	tr := &Traced{}
 	choices := make([][]uint8, 0, len(g.Schemes))
 	for _, scheme := range g.Schemes {
 		j, err := Spec{
@@ -108,7 +106,7 @@ func Disagreement(ctx context.Context, g GridSpec) (*probe.Disagreement, error) 
 			f = &probe.Forensics{}
 			return f
 		})
-		if _, err := tr.Run(pctx, j); err != nil {
+		if _, err := (Direct{}).Run(pctx, j); err != nil {
 			return nil, err
 		}
 		choices = append(choices, f.Choices())

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/probe"
+	"repro/internal/steer"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -378,5 +382,56 @@ func TestTracedErrors(t *testing.T) {
 	cancel()
 	if _, err := c.Run(ctx, cpJobs(t)[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context: %v", err)
+	}
+}
+
+// TestDisagreementLiveMatchesTraced: Disagreement runs every scheme live,
+// on the grounds that the oracle stream does not depend on the scheme. The
+// reference replays one Traced recording through every scheme — one
+// stream by construction — and the two matrices must be identical, on the
+// paper's machine and on a 4-cluster one.
+func TestDisagreementLiveMatchesTraced(t *testing.T) {
+	ctx := context.Background()
+	schemes := steer.Names()
+	sort.Strings(schemes)
+	for _, clusters := range []int{2, 4} {
+		g := GridSpec{Schemes: schemes, Benchmarks: []string{"go"}, Clusters: clusters, Warmup: 2_000, Measure: 10_000}
+		live, err := Disagreement(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		tr := &Traced{}
+		choices := make([][]uint8, 0, len(schemes))
+		for _, scheme := range schemes {
+			j, err := Spec{Scheme: scheme, Benchmark: "go", Clusters: clusters, Warmup: g.Warmup, Measure: g.Measure}.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f *probe.Forensics
+			pctx := WithProbe(ctx, func() core.Probe {
+				f = &probe.Forensics{}
+				return f
+			})
+			if _, err := tr.Run(pctx, j); err != nil {
+				t.Fatal(err)
+			}
+			choices = append(choices, f.Choices())
+		}
+		if n := tr.Metrics().Recordings; n != 1 {
+			t.Fatalf("%d clusters: reference made %d recordings, want 1 shared by every scheme", clusters, n)
+		}
+		want, err := probe.ComputeDisagreement(schemes, choices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(live, want) {
+			t.Errorf("%d clusters: live matrix differs from the replayed one:\nlive\n%s\nreplayed\n%s", clusters, live.Table(), want.Table())
+		}
+		// Not vacuous: the schemes compared real decisions and disagreed.
+		if first, last := 0, len(schemes)-1; live.Compared[first][last] == 0 || live.Differ[first][last] == 0 {
+			t.Errorf("%d clusters: %s vs %s compared %d decisions, %d differing",
+				clusters, schemes[first], schemes[last], live.Compared[first][last], live.Differ[first][last])
+		}
 	}
 }

@@ -34,7 +34,7 @@ type SteerRecord struct {
 // Forensics records steering decisions: a bounded window of detailed
 // records, per-reason totals, and the compact per-decision choice stream
 // that the scheme×scheme disagreement matrix compares. Decisions arrive
-// in program (decode) order, so two runs of the same oracle trace under
+// in program (decode) order, so two runs of the same oracle stream under
 // different schemes produce index-aligned choice streams.
 type Forensics struct {
 	// MaxRecords caps Records (0 = DefaultMaxRecords, negative =
@@ -113,7 +113,7 @@ func (f *Forensics) ReasonTable() string {
 
 // Disagreement is the scheme×scheme steering-disagreement matrix: entry
 // [i][j] compares the choice streams of schemes i and j, decision by
-// decision, over one shared oracle trace. It is a wire type.
+// decision, over one committed-path stream. It is a wire type.
 type Disagreement struct {
 	// Schemes indexes the matrix.
 	Schemes []string `json:"schemes"`
@@ -129,7 +129,7 @@ type Disagreement struct {
 
 // ComputeDisagreement builds the matrix from per-scheme choice streams
 // (choices[i] belongs to schemes[i]; the two slices must be the same
-// length, replays of one shared oracle trace so indexes align).
+// length, runs over one committed-path stream so indexes align).
 func ComputeDisagreement(schemes []string, choices [][]uint8) (*Disagreement, error) {
 	if len(schemes) != len(choices) {
 		return nil, fmt.Errorf("probe: %d schemes but %d choice streams", len(schemes), len(choices))
