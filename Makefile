@@ -69,9 +69,9 @@ load-smoke:
 	./ci/load_smoke.sh
 
 # End-to-end smoke of the oracle trace layer: record a 1k-instruction
-# window with dcatrace, replay it through dcasim and a dcaserve -traced
-# job, assert the result digests are bit-identical to the live run, and
-# check that a truncated recording fails loudly.
+# window with dcatrace, replay it through dcasim, serve the same cell
+# from dcaserve, assert the result digests are bit-identical to the live
+# run, and check that a truncated recording fails loudly.
 trace-smoke:
 	./ci/trace_smoke.sh
 

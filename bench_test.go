@@ -12,6 +12,7 @@ package repro
 // "ns/op" measures total simulation cost of the grid.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -28,13 +29,10 @@ import (
 	"repro/internal/workload"
 )
 
-// benchOpts returns the reduced-budget grid options used by the figure
-// benches.
-func benchOpts() experiments.Options {
-	opts := experiments.DefaultOptions()
-	opts.Warmup = 10_000
-	opts.Measure = 60_000
-	return opts
+// benchSpec returns the reduced-budget grid the figure benches run over
+// the given schemes.
+func benchSpec(schemes ...string) job.GridSpec {
+	return job.GridSpec{Schemes: schemes, Warmup: 10_000, Measure: 60_000}
 }
 
 var printMu sync.Mutex
@@ -48,7 +46,7 @@ func runExhibit(b *testing.B, id string) {
 		b.Fatalf("unknown exhibit %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(e.Schemes, benchOpts())
+		res, err := experiments.Run(context.Background(), benchSpec(e.Schemes...), job.PoolOptions{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,8 +280,7 @@ func BenchmarkExtensionFPWorkloads(b *testing.B) {
 // ("random"), against the full scheme and modulo.
 func BenchmarkExtensionDecomposition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		res, err := experiments.Run([]string{"operand", "random", "modulo", "general"}, opts)
+		res, err := experiments.Run(context.Background(), benchSpec("operand", "random", "modulo", "general"), job.PoolOptions{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,12 +350,11 @@ func BenchmarkGridParallelism(b *testing.B) {
 	for _, clusters := range []int{2, 4, 8} {
 		for _, j := range levels {
 			b.Run(fmt.Sprintf("clusters=%d/j=%d", clusters, j), func(b *testing.B) {
-				opts := benchOpts()
-				opts.Parallelism = j
-				opts.Clusters = clusters
-				opts.Runner = warm
+				spec := benchSpec("modulo", "general", job.UBScheme)
+				spec.Clusters = clusters
+				pool := job.PoolOptions{Parallelism: j, Runner: warm}
 				for i := 0; i < b.N; i++ {
-					if _, err := experiments.Run([]string{"modulo", "general", experiments.UBScheme}, opts); err != nil {
+					if _, err := experiments.Run(context.Background(), spec, pool, false); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -379,15 +375,15 @@ func BenchmarkGridParallelism(b *testing.B) {
 func BenchmarkTraceReplay(b *testing.B) {
 	for _, mode := range []string{"direct", "traced"} {
 		b.Run(mode, func(b *testing.B) {
-			opts := benchOpts()
+			var pool job.PoolOptions
 			if mode == "traced" {
 				// One runner for all iterations: the first grid records
 				// once per benchmark, everything after replays — the
-				// steady state a -traced dcabench/dcaserve process lives in.
-				opts.Runner = &job.Traced{}
+				// steady state of a long-lived job.Traced runner.
+				pool.Runner = &job.Traced{}
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Run([]string{"modulo", "general", experiments.UBScheme}, opts); err != nil {
+				if _, err := experiments.Run(context.Background(), benchSpec("modulo", "general", job.UBScheme), pool, false); err != nil {
 					b.Fatal(err)
 				}
 			}

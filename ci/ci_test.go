@@ -283,11 +283,14 @@ func TestProbeSuiteWired(t *testing.T) {
 	}
 }
 
-// TestDocReferencesExist requires every command, make target and
-// benchmark record that the top-level documents name to exist: `cmd/<name>`
-// must be a directory under cmd/, "`make <target>" a Makefile target, and
-// BENCH_<name>.json a file at the module root. A deleted tool, target or
-// record then cannot linger in the docs.
+// TestDocReferencesExist requires every command, make target, benchmark
+// record and Go identifier that the top-level documents name to exist:
+// `cmd/<name>` must be a directory under cmd/, "`make <target>" a Makefile
+// target, BENCH_<name>.json a file at the module root, and a backquoted
+// `<pkg>.<Ident>` — <pkg> being a package directory under internal/ — an
+// exported top-level declaration of that package, with a further
+// `.<Ident>` a method or field of it. A deleted tool, target, record or
+// API then cannot linger in the docs.
 func TestDocReferencesExist(t *testing.T) {
 	makefile, err := os.ReadFile(filepath.Join(repoRoot, "Makefile"))
 	if err != nil {
@@ -310,6 +313,9 @@ func TestDocReferencesExist(t *testing.T) {
 		{regexp.MustCompile("`make ([A-Za-z0-9_.-]+)"), "make %s", func(n string) bool { return targets[n] }},
 		{regexp.MustCompile(`\bBENCH_([A-Za-z0-9_]+)\.json`), "BENCH_%s.json", func(n string) bool { return exists("BENCH_" + n + ".json") }},
 	}
+	decls := internalDecls(t)
+	codeSpan := regexp.MustCompile("`[^`]+`")
+	ident := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(filepath.Join(repoRoot, doc))
 		if err != nil {
@@ -323,8 +329,122 @@ func TestDocReferencesExist(t *testing.T) {
 					}
 				}
 			}
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range ident.FindAllStringSubmatch(span, -1) {
+					pkg, ok := decls[m[1]]
+					if !ok {
+						continue
+					}
+					name := m[1] + "." + m[2]
+					members, declared := pkg[m[2]]
+					if !declared {
+						t.Errorf("%s:%d names %s, which internal/ does not declare", doc, i+1, name)
+					} else if m[3] != "" && !members[m[3]] {
+						t.Errorf("%s:%d names %s.%s, which is not a method or field of %s", doc, i+1, name, m[3], name)
+					}
+				}
+			}
 		}
 	}
+}
+
+// internalDecls maps each package directory under internal/, by its
+// name, to its exported top-level declarations, each with the set of its
+// methods and fields (struct fields, embedded types, interface methods).
+func internalDecls(t *testing.T) map[string]map[string]map[string]bool {
+	t.Helper()
+	pkgs := map[string]map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join(repoRoot, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Base(filepath.Dir(path))
+		if pkgs[dir] == nil {
+			pkgs[dir] = map[string]map[string]bool{}
+		}
+		decl := func(name string) map[string]bool {
+			if pkgs[dir][name] == nil {
+				pkgs[dir][name] = map[string]bool{}
+			}
+			return pkgs[dir][name]
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					decl(d.Name.Name)
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if gen, ok := recv.(*ast.IndexExpr); ok {
+					recv = gen.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					decl(id.Name)[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							decl(n.Name)
+						}
+					case *ast.TypeSpec:
+						members := decl(spec.Name.Name)
+						var fields *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, field := range fields.List {
+							for _, n := range field.Names {
+								members[n.Name] = true
+							}
+							if len(field.Names) == 0 { // embedded
+								typ := field.Type
+								if star, ok := typ.(*ast.StarExpr); ok {
+									typ = star.X
+								}
+								if sel, ok := typ.(*ast.SelectorExpr); ok {
+									typ = sel.Sel
+								}
+								if id, ok := typ.(*ast.Ident); ok {
+									members[id.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
 }
 
 // TestEveryPackageHasDoc requires a package doc comment in every package

@@ -1,7 +1,7 @@
 #!/bin/sh
 # trace_smoke.sh — end-to-end smoke of the oracle trace layer: record a
-# 1k-instruction window with cmd/dcatrace, replay it through cmd/dcasim
-# and through a dcaserve -traced job, and assert all three result digests
+# 1k-instruction window with cmd/dcatrace, replay it through cmd/dcasim,
+# serve the same cell from dcaserve, and assert all three result digests
 # are bit-identical to the live run. Also asserts the whole-file checksum
 # makes a corrupted recording fail loudly instead of replaying garbage.
 # Run from the repo root (`make trace-smoke` or the CI step).
@@ -54,9 +54,9 @@ if "$SIM" -bench compress -scheme general -warmup "$WARMUP" -measure "$MEASURE" 
   exit 1
 fi
 
-# The same cell through a dcaserve -traced job (record-once server side)
-# must land on the same content-addressed result.
-"$SRV" -addr "$ADDR" -traced &
+# The same cell served by dcaserve must land on the same
+# content-addressed result.
+"$SRV" -addr "$ADDR" &
 PID=$!
 trap 'kill $PID 2>/dev/null || true' EXIT
 
@@ -74,7 +74,7 @@ curl -fsS -X POST "http://$ADDR/v1/jobs" \
   -d "{\"scheme\":\"general\",\"benchmark\":\"compress\",\"warmup\":$WARMUP,\"measure\":$MEASURE}" >"$OUT"
 SERVED=$(sed -n 's/.*"result_digest": "\([0-9a-f]\{64\}\)".*/\1/p' "$OUT" | head -1)
 if [ "$SERVED" != "$LIVE" ]; then
-  echo "trace smoke: dcaserve -traced digest mismatch (live=$LIVE served=$SERVED)" >&2
+  echo "trace smoke: dcaserve digest mismatch (live=$LIVE served=$SERVED)" >&2
   exit 1
 fi
 

@@ -13,11 +13,11 @@
 //	dcabench -progress=false      # silence the per-cell completion log
 //	dcabench -json grid.json      # archive the grid (jobs + digests + stats)
 //	dcabench -store ./results     # reuse cells across invocations by digest
-//	dcabench -traced              # record each oracle stream once, replay per cell
 //	dcabench -attrib              # per-cell stall taxonomy (printed + in -json)
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,18 +42,14 @@ func main() {
 		jobs     = flag.Int("j", 0, "grid cells to simulate in parallel (0 = all cores)")
 		clusters = flag.Int("clusters", 2, "cluster count of the steered machine (2 = the paper's asymmetric processor, else config.ClusteredN)")
 		progress = flag.Bool("progress", true, "log per-cell completion and ETA to stderr")
-		traced   = flag.Bool("traced", false, "record each (benchmark, window) oracle stream once and replay it for every cell (internal/trace)")
 		attrib   = flag.Bool("attrib", false, "attribute every measured cycle to a stall class; breakdowns are printed and folded into -json")
 	)
 	flag.Parse()
 
-	opts := experiments.DefaultOptions()
-	opts.Warmup, opts.Measure = *warmup, *measure
-	opts.Parallelism = *jobs
-	opts.Clusters = *clusters
-	opts.Attrib = *attrib
+	spec := job.GridSpec{Clusters: *clusters, Warmup: *warmup, Measure: *measure}
+	pool := job.PoolOptions{Parallelism: *jobs}
 	if *progress {
-		opts.Progress = func(p job.Progress) {
+		pool.Progress = func(p job.Progress) {
 			if p.Err != nil {
 				fmt.Fprintf(os.Stderr, "[%3d/%3d] %s/%s FAILED: %v\n",
 					p.Completed, p.Total, p.Job.Scheme, p.Job.Benchmark, p.Err)
@@ -69,36 +65,24 @@ func main() {
 		}
 	}
 	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
-		for _, b := range opts.Benchmarks {
+		spec.Benchmarks = strings.Split(*benches, ",")
+		for _, b := range spec.Benchmarks {
 			if err := job.ValidateBenchmark(b); err != nil {
 				fatal(err)
 			}
 		}
 	}
 
-	// Runner stack, innermost first: Traced (record-once/replay-many
-	// front end) under Cached (content-addressed result reuse). The same
-	// tiered store carries both the JSON results and the encoded traces.
+	// With -store, cells run through Cached (content-addressed result
+	// reuse) over a memory-fronted disk store.
 	var cached *store.Cached
-	var tracedRunner *job.Traced
-	if *traced {
-		tracedRunner = &job.Traced{}
-		opts.Runner = tracedRunner
-	}
 	if *storeDir != "" {
 		disk, err := store.NewDisk(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
-		tiered := store.Tiered{Fast: store.NewMemory(1024), Slow: disk}
-		var next job.Runner
-		if tracedRunner != nil {
-			tracedRunner.Blobs = tiered
-			next = tracedRunner
-		}
-		cached = store.NewCached(tiered, next)
-		opts.Runner = cached
+		cached = store.NewCached(store.Tiered{Fast: store.NewMemory(1024), Slow: disk}, nil)
+		pool.Runner = cached
 	}
 
 	// With -json - the machine-readable export owns stdout; the banner,
@@ -123,13 +107,13 @@ func main() {
 
 	// Run the union of the schemes the requested exhibits need as one
 	// grid; the base machine is added to it.
-	schemes := experiments.SchemesFor(wanted)
-	effBenches := job.GridSpec{Benchmarks: opts.Benchmarks}.EffectiveBenchmarks()
-	workers := job.Workers(opts.Parallelism, (len(schemes)+1)*len(effBenches))
+	spec.Schemes = experiments.SchemesFor(wanted)
+	effBenches := spec.EffectiveBenchmarks()
+	workers := job.Workers(pool.Parallelism, (len(spec.Schemes)+1)*len(effBenches))
 	start := time.Now()
 	fmt.Fprintf(human, "running %d scheme(s) x %d benchmark(s), %d+%d instructions each, %d worker(s)...\n\n",
-		len(schemes)+1, len(effBenches), opts.Warmup, opts.Measure, workers)
-	res, err := experiments.Run(schemes, opts)
+		len(spec.Schemes)+1, len(effBenches), spec.Warmup, spec.Measure, workers)
+	res, err := experiments.Run(context.Background(), spec, pool, *attrib)
 	if err != nil {
 		fatal(err)
 	}
@@ -172,11 +156,6 @@ func main() {
 	if cached != nil {
 		m := cached.Metrics()
 		fmt.Fprintf(human, "result store: %d hits, %d simulated, %d coalesced\n", m.Hits, m.Misses, m.Coalesced)
-	}
-	if tracedRunner != nil {
-		m := tracedRunner.Metrics()
-		fmt.Fprintf(human, "trace layer: %d recorded, %d from store, %d replayed\n",
-			m.Recordings, m.BlobHits, m.Replays)
 	}
 	fmt.Fprintf(human, "total simulation time: %v\n", time.Since(start).Round(time.Millisecond))
 }

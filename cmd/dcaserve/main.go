@@ -42,7 +42,6 @@
 //	dcaserve -lease-ttl 2m -retries 5 # slow cells, patient queue
 //	dcaserve -rate 50 -burst 100      # ≤50 req/s sustained per client
 //	dcaserve -admit 32                # ≤32 jobs waiting beyond those running
-//	dcaserve -traced                  # record-once/replay-many oracle streams
 //
 //	curl -s localhost:8080/v1/jobs -d '{"scheme":"general","benchmark":"go","warmup":1000,"measure":10000}'
 //	curl -s localhost:8080/v1/queue -d '{"grid":{"schemes":["general"],"warmup":1000,"measure":10000}}'
@@ -65,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/job"
 	"repro/internal/job/queue"
 	"repro/internal/job/store"
 )
@@ -82,7 +80,6 @@ func main() {
 		rate     = flag.Float64("rate", 0, "per-client request rate on submission endpoints, req/s (0 = unlimited)")
 		burst    = flag.Int("burst", 0, "per-client burst above -rate (0 = 2×rate)")
 		admit    = flag.Int("admit", 0, "max /v1/jobs requests waiting on the simulator beyond those running (0 = 4×parallelism)")
-		traced   = flag.Bool("traced", false, "record each (benchmark, window) oracle stream once and replay it for every cell (internal/trace)")
 	)
 	flag.Parse()
 
@@ -95,15 +92,7 @@ func main() {
 		st = store.Tiered{Fast: st, Slow: disk}
 		fmt.Printf("dcaserve: %d results on disk under %s\n", disk.Len(), *diskDir)
 	}
-	// With -traced, cache misses simulate through the trace layer; the
-	// encoded recordings live in the same store (its blob face) as the
-	// results, so they persist exactly when results do.
-	var runner job.Runner
-	if *traced {
-		blobs, _ := st.(job.BlobStore) // both store backends implement it
-		runner = &job.Traced{Blobs: blobs}
-	}
-	srv := newServer(st, runner, *jobs,
+	srv := newServer(st, nil, *jobs,
 		queue.Options{LeaseTTL: *leaseTTL, MaxAttempts: *retries},
 		limits{Rate: *rate, Burst: *burst, AdmitQueue: *admit})
 

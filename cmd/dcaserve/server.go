@@ -398,21 +398,12 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	params := steer.DefaultParams()
-	if spec.Params != nil {
-		params = *spec.Params
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	stream := newNDJSONStream(w)
 	emit := func(ev gridEvent) { stream.emit(ev) }
 
-	opts := experiments.Options{
-		Warmup:      spec.Warmup,
-		Measure:     spec.Measure,
-		Benchmarks:  spec.Benchmarks,
-		Clusters:    spec.Clusters,
-		Params:      params,
+	pool := job.PoolOptions{
 		Parallelism: s.parallelism,
 		// Grid workers share the server-wide simulation semaphore, so K
 		// concurrent grid requests still run at most `parallelism` cells
@@ -432,7 +423,7 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			})
 		},
 	}
-	res, err := experiments.RunContext(r.Context(), spec.Schemes, opts)
+	res, err := experiments.Run(r.Context(), spec, pool, false)
 	if err != nil {
 		emit(gridEvent{Type: "error", Error: err.Error()})
 		return

@@ -1,7 +1,7 @@
 // Command dcatrace records, inspects and converts oracle traces — the
-// content-addressed Step streams of internal/trace that the grid runners
-// replay instead of re-running the functional emulator (dcasim -replay,
-// dcabench/dcaserve/dcaworker -traced).
+// content-addressed Step streams of internal/trace that dcasim -replay
+// and the job.Traced runner replay instead of re-running the functional
+// emulator.
 //
 // Subcommands:
 //
@@ -15,10 +15,11 @@
 // dcasim. info needs no program: it prints the verified header (Decode
 // checks the whole-file checksum, so a corrupted or truncated trace fails
 // here, loudly). convert ingests an externally captured stream (the NDJSON
-// dump format) and re-encodes it; every step is verified against the
-// program's semantics and the result is validated end to end before it is
+// dump format) and re-encodes it; every step must equal the one the
+// program's own execution produces (trace.EncodeSteps steps an emulator
+// in lockstep) and the result is validated end to end before it is
 // written, so a stream the program cannot have produced is rejected at
-// the door.
+// the door, naming the first step that differs.
 package main
 
 import (

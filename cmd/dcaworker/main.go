@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/job"
 	"repro/internal/job/worker"
 )
 
@@ -41,7 +40,6 @@ func main() {
 		backoff = flag.Duration("backoff", 5*time.Second, "max jittered sleep after an empty poll or server error")
 		id      = flag.String("id", "", "client ID sent as X-Client-ID (names this worker in server logs and rate limits)")
 		verbose = flag.Bool("v", false, "log per-job events")
-		traced  = flag.Bool("traced", false, "record each (benchmark, window) oracle stream once per process and replay it for every leased cell (internal/trace)")
 	)
 	flag.Parse()
 
@@ -51,10 +49,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	var runner job.Runner
-	if *traced {
-		runner = &job.Traced{}
-	}
 	f, err := worker.New(worker.Options{
 		Server:     *server,
 		Loops:      *loops,
@@ -63,7 +57,6 @@ func main() {
 		MaxBackoff: *backoff,
 		Logf:       logf,
 		ClientID:   *id,
-		Runner:     runner,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcaworker:", err)

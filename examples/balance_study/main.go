@@ -12,12 +12,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/job"
 	"repro/internal/stats"
 )
 
@@ -28,16 +30,14 @@ func main() {
 	}
 	schemes := []string{"modulo", "ldst-slice", "general"}
 
-	opts := experiments.DefaultOptions()
-	opts.Warmup, opts.Measure = 20_000, 150_000
-	opts.Benchmarks = []string{bench}
-	res, err := experiments.Run(schemes, opts)
+	spec := job.GridSpec{Schemes: schemes, Benchmarks: []string{bench}, Warmup: 20_000, Measure: 150_000}
+	res, err := experiments.Run(context.Background(), spec, job.PoolOptions{}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The engine always runs the base machine too; use it as the yardstick.
-	base := res.Get(experiments.BaseScheme, bench)
+	base := res.Get(job.BaseScheme, bench)
 	fmt.Printf("conventional base on %q — IPC %.2f\n", bench, base.IPC())
 
 	for _, scheme := range schemes {

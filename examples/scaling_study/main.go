@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/job"
 	"repro/internal/stats"
 	"repro/internal/steer"
 	"repro/internal/workload"
@@ -30,6 +32,9 @@ import (
 // counts: the round-robin and random bounds, the operand-only baseline,
 // and the paper's two strongest balance schemes.
 var schemes = []string{"modulo", "random", "operand", "br-nonslice", "general"}
+
+// warmup and measure are the per-cell window: dcabench's default.
+const warmup, measure = 100_000, 1_000_000
 
 func main() {
 	benches := workload.Names()
@@ -43,10 +48,8 @@ func main() {
 
 	grids := map[int]*experiments.Result{}
 	for _, n := range []int{2, 4, 8} {
-		opts := experiments.DefaultOptions()
-		opts.Benchmarks = benches
-		opts.Clusters = n
-		res, err := experiments.Run(schemes, opts)
+		spec := job.GridSpec{Schemes: schemes, Benchmarks: benches, Clusters: n, Warmup: warmup, Measure: measure}
+		res, err := experiments.Run(context.Background(), spec, job.PoolOptions{}, false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,8 +85,8 @@ func main() {
 	fmt.Println("below modulo — the paper's trade-off, amplified by scale.")
 }
 
-// runRing simulates general steering on the 4-cluster ring machine with
-// the default experiment budgets.
+// runRing simulates general steering on the 4-cluster ring machine over
+// the grid's window.
 func runRing(bench string) (*stats.Run, error) {
 	p, err := workload.Load(bench)
 	if err != nil {
@@ -100,6 +103,5 @@ func runRing(bench string) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := experiments.DefaultOptions()
-	return m.RunWithWarmup(opts.Warmup, opts.Measure)
+	return m.RunWithWarmup(warmup, measure)
 }

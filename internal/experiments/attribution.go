@@ -6,9 +6,9 @@ import (
 )
 
 // FormatAttribution renders the grid's stall breakdowns as text, one
-// table per attributed cell, BaseScheme first and the remaining schemes
-// sorted. Cells without a report (grid run without Opts.Attrib, or served
-// from a cache) are skipped; the empty string means nothing was
+// table per attributed cell, job.BaseScheme first and the remaining
+// schemes sorted. Cells without a report (grid run without attribution,
+// or served from a cache) are skipped; the empty string means nothing was
 // attributed.
 func (r *Result) FormatAttribution() string {
 	if r.attrib == nil {

@@ -4,24 +4,20 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteCSV dumps the full grid as CSV — one row per (scheme, benchmark)
-// cell with every derived metric — for external plotting of the figures.
-// The two-cluster columns keep their historical names (steered_int,
-// steered_fp); grids over larger machines append one steered_cN column per
-// extra cluster.
+// cell with every derived metric, in report order (see reportJobs) — for
+// external plotting of the figures. The two-cluster columns keep their
+// historical names (steered_int, steered_fp); grids over larger machines
+// append one steered_cN column per extra cluster.
 func (r *Result) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
+	jobs := r.reportJobs()
 	clusters := 2
-	//dca:allow(determinism: computes a max over all cells, which is order-insensitive)
-	for _, benchRuns := range r.Runs {
-		//dca:allow(determinism: computes a max over all cells, which is order-insensitive)
-		for _, run := range benchRuns {
-			if run != nil && len(run.Steered) > clusters {
-				clusters = len(run.Steered)
-			}
+	for _, j := range jobs {
+		if run := r.Get(j.Scheme, j.Benchmark); run != nil && len(run.Steered) > clusters {
+			clusters = len(run.Steered)
 		}
 	}
 	header := []string{
@@ -37,39 +33,33 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	schemes := make([]string, 0, len(r.Runs))
-	for s := range r.Runs {
-		schemes = append(schemes, s)
-	}
-	sort.Strings(schemes)
 	f := func(v float64) string { return fmt.Sprintf("%.6f", v) }
-	for _, scheme := range schemes {
-		for _, bench := range r.Opts.Benchmarks {
-			run := r.Get(scheme, bench)
-			if run == nil {
-				continue
-			}
-			row := []string{
-				scheme, bench,
-				fmt.Sprintf("%d", run.Cycles),
-				fmt.Sprintf("%d", run.Instructions),
-				f(run.IPC()),
-				f(r.Speedup(scheme, bench)),
-				f(run.CommPerInstr()),
-				f(run.CriticalCommPerInstr()),
-			}
-			for c := 0; c < clusters; c++ {
-				row = append(row, fmt.Sprintf("%d", run.SteeredAt(c)))
-			}
-			row = append(row,
-				f(run.ReplicatedRegsAvg),
-				f(run.MispredictRate()),
-				f(run.L1DMissRate),
-				f(run.L1IMissRate),
-			)
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+	for _, j := range jobs {
+		scheme, bench := j.Scheme, j.Benchmark
+		run := r.Get(scheme, bench)
+		if run == nil {
+			continue
+		}
+		row := []string{
+			scheme, bench,
+			fmt.Sprintf("%d", run.Cycles),
+			fmt.Sprintf("%d", run.Instructions),
+			f(run.IPC()),
+			f(r.Speedup(scheme, bench)),
+			f(run.CommPerInstr()),
+			f(run.CriticalCommPerInstr()),
+		}
+		for c := 0; c < clusters; c++ {
+			row = append(row, fmt.Sprintf("%d", run.SteeredAt(c)))
+		}
+		row = append(row,
+			f(run.ReplicatedRegsAvg),
+			f(run.MispredictRate()),
+			f(run.L1DMissRate),
+			f(run.L1IMissRate),
+		)
+		if err := cw.Write(row); err != nil {
+			return err
 		}
 	}
 	cw.Flush()

@@ -24,18 +24,14 @@ func (f runnerFunc) Run(ctx context.Context, j job.Job) (*stats.Run, error) { re
 // grid must produce bit-identical stats.Run numbers to a serial one, since
 // every cell owns its core.Machine.
 func TestSerialParallelDeterminism(t *testing.T) {
-	schemes := []string{"general", "modulo", "random"}
+	ctx, spec := context.Background(), smallSpec("general", "modulo", "random")
 
-	serialOpts := smallOpts()
-	serialOpts.Parallelism = 1
-	serial, err := Run(schemes, serialOpts)
+	serial, err := Run(ctx, spec, job.PoolOptions{Parallelism: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	parOpts := smallOpts()
-	parOpts.Parallelism = runtime.NumCPU()
-	parallel, err := Run(schemes, parOpts)
+	parallel, err := Run(ctx, spec, job.PoolOptions{Parallelism: runtime.NumCPU()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,25 +53,27 @@ func TestSerialParallelDeterminism(t *testing.T) {
 // before any simulation runs, with the known names in the message.
 func TestRunValidatesSchemesUpFront(t *testing.T) {
 	calls := 0
-	opts := smallOpts()
-	opts.Runner = runnerFunc(func(ctx context.Context, j job.Job) (*stats.Run, error) {
+	pool := job.PoolOptions{Runner: runnerFunc(func(ctx context.Context, j job.Job) (*stats.Run, error) {
 		calls++
 		return job.Direct{}.Run(ctx, j)
-	})
+	})}
+	ctx := context.Background()
 
-	_, err := Run([]string{"general", "no-such-scheme"}, opts)
+	_, err := Run(ctx, smallSpec("general", "no-such-scheme"), pool, false)
 	if err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 	if !strings.Contains(err.Error(), "no-such-scheme") || !strings.Contains(err.Error(), "general") {
 		t.Errorf("error does not name the offender and the known schemes: %v", err)
 	}
+
+	spec := smallSpec("general")
+	spec.Benchmarks = []string{"go", "nope"}
+	if _, err := Run(ctx, spec, pool, false); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("unknown benchmark: err = %v, want one naming it", err)
+	}
 	if calls != 0 {
 		t.Errorf("%d cells simulated before validation failed", calls)
-	}
-
-	if _, err := Run([]string{"general"}, Options{Benchmarks: []string{"nope"}}); err == nil {
-		t.Error("unknown benchmark accepted")
 	}
 }
 
@@ -83,15 +81,16 @@ func TestRunValidatesSchemesUpFront(t *testing.T) {
 // inputs with exactly the job layer's error text, so dcasim, dcabench and
 // library callers all see one message per mistake.
 func TestSameValidationErrorAsJobLayer(t *testing.T) {
-	_, gridErr := Run([]string{"no-such-scheme"}, smallOpts())
+	ctx := context.Background()
+	_, gridErr := Run(ctx, smallSpec("no-such-scheme"), job.PoolOptions{}, false)
 	jobErr := job.ValidateScheme("no-such-scheme")
 	if gridErr == nil || jobErr == nil || gridErr.Error() != jobErr.Error() {
 		t.Errorf("grid error %q != job-layer error %q", gridErr, jobErr)
 	}
 
-	opts := smallOpts()
-	opts.Clusters = 99
-	_, gridErr = Run([]string{"general"}, opts)
+	spec := smallSpec("general")
+	spec.Clusters = 99
+	_, gridErr = Run(ctx, spec, job.PoolOptions{}, false)
 	jobErr = job.ValidateClusters(99)
 	if gridErr == nil || jobErr == nil || gridErr.Error() != jobErr.Error() {
 		t.Errorf("grid error %q != job-layer error %q", gridErr, jobErr)
@@ -108,9 +107,8 @@ func TestEarlyCancellationOnError(t *testing.T) {
 		failed       bool
 	)
 	boom := errors.New("boom")
-	opts := smallOpts()
-	opts.Parallelism = 2
-	opts.Runner = runnerFunc(func(_ context.Context, j job.Job) (*stats.Run, error) {
+	pool := job.PoolOptions{Parallelism: 2}
+	pool.Runner = runnerFunc(func(_ context.Context, j job.Job) (*stats.Run, error) {
 		mu.Lock()
 		started++
 		fail := !failed && started == 3
@@ -131,26 +129,26 @@ func TestEarlyCancellationOnError(t *testing.T) {
 	// 3 schemes x 2 benchmarks + base x 2 = 8 cells; the 3rd started cell
 	// fails, so with 2 workers at most one more cell may already have been
 	// handed out before the cancellation lands.
-	_, err := Run([]string{"general", "modulo", "random"}, opts)
+	_, err := Run(context.Background(), smallSpec("general", "modulo", "random"), pool, false)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if afterFailure > opts.Parallelism {
+	if afterFailure > pool.Parallelism {
 		t.Errorf("%d cells started after the failure (parallelism %d) — cancellation is not early",
-			afterFailure, opts.Parallelism)
+			afterFailure, pool.Parallelism)
 	}
 	if started >= 8 {
 		t.Errorf("all %d cells ran despite the failure", started)
 	}
 }
 
-// TestRunContextCancelled checks a cancelled context aborts the grid.
-func TestRunContextCancelled(t *testing.T) {
+// TestRunCancelled checks a cancelled context aborts the grid.
+func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, []string{"general"}, smallOpts()); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, smallSpec("general"), job.PoolOptions{}, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -159,22 +157,20 @@ func TestRunContextCancelled(t *testing.T) {
 // serialized, with sane running totals and no ETA before a second timing
 // sample exists.
 func TestProgressCallback(t *testing.T) {
-	opts := smallOpts()
-	opts.Parallelism = runtime.NumCPU()
 	var (
 		mu    sync.Mutex
 		calls []job.Progress
 	)
-	opts.Progress = func(p job.Progress) {
+	pool := job.PoolOptions{Parallelism: runtime.NumCPU(), Progress: func(p job.Progress) {
 		mu.Lock()
 		calls = append(calls, p)
 		mu.Unlock()
-	}
-	res, err := Run([]string{"general"}, opts)
+	}}
+	res, err := Run(context.Background(), smallSpec("general"), pool, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := 2 * len(opts.Benchmarks) // (base + general) x benchmarks
+	wantCells := 2 * len(res.Spec.Benchmarks) // (base + general) x benchmarks
 	if len(calls) != wantCells {
 		t.Fatalf("progress called %d times, want %d", len(calls), wantCells)
 	}
@@ -202,16 +198,19 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestPlannedCellOrder checks the cell order of the jobs RunContext plans
-// and keeps on the Result: base first, duplicates dropped, input order
-// preserved, each scheme crossed with the benchmarks in input order.
+// stubRunner returns a one-cycle record for every job without simulating.
+var stubRunner = runnerFunc(func(_ context.Context, j job.Job) (*stats.Run, error) {
+	return &stats.Run{Scheme: j.Scheme, Benchmark: j.Benchmark, Cycles: 1, Instructions: 1}, nil
+})
+
+// TestPlannedCellOrder checks the cell order of the jobs Run plans and
+// keeps on the Result: base first, duplicate schemes and benchmarks
+// dropped, input order preserved, each scheme crossed with the benchmarks
+// in input order.
 func TestPlannedCellOrder(t *testing.T) {
-	opts := smallOpts()
-	opts.Benchmarks = []string{"go", "gcc"}
-	opts.Runner = runnerFunc(func(_ context.Context, j job.Job) (*stats.Run, error) {
-		return &stats.Run{Scheme: j.Scheme, Benchmark: j.Benchmark, Cycles: 1, Instructions: 1}, nil
-	})
-	res, err := Run([]string{"general", BaseScheme, "general", "modulo"}, opts)
+	spec := smallSpec("general", job.BaseScheme, "general", "modulo")
+	spec.Benchmarks = []string{"go", "gcc", "go"}
+	res, err := Run(context.Background(), spec, job.PoolOptions{Runner: stubRunner}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,48 +219,83 @@ func TestPlannedCellOrder(t *testing.T) {
 		got = append(got, [2]string{j.Scheme, j.Benchmark})
 	}
 	want := [][2]string{
-		{BaseScheme, "go"}, {BaseScheme, "gcc"},
+		{job.BaseScheme, "go"}, {job.BaseScheme, "gcc"},
 		{"general", "go"}, {"general", "gcc"},
 		{"modulo", "go"}, {"modulo", "gcc"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("planned cells = %v, want %v", got, want)
 	}
+	if b := res.Spec.Benchmarks; !reflect.DeepEqual(b, []string{"go", "gcc"}) {
+		t.Errorf("Result.Spec.Benchmarks = %v, want the list that ran", b)
+	}
 }
 
-// TestLazyDefaultBenchmarks checks the lazy default: DefaultOptions leaves
-// Benchmarks nil, and the grid plans the full workload set at run time
-// (the Result echoes what actually ran).
-func TestLazyDefaultBenchmarks(t *testing.T) {
-	if b := DefaultOptions().Benchmarks; b != nil {
-		t.Errorf("DefaultOptions().Benchmarks = %v, want nil (planned lazily)", b)
+// TestRepeatedBenchmarksRunOnce checks that a benchmark named twice is
+// simulated, exported and averaged once: the grid equals the one that
+// names it once, cell for cell and in its means and CSV.
+func TestRepeatedBenchmarksRunOnce(t *testing.T) {
+	ctx := context.Background()
+	grid := func(benches ...string) *Result {
+		spec := job.GridSpec{Schemes: []string{"general"}, Benchmarks: benches, Warmup: 2_000, Measure: 10_000}
+		res, err := Run(ctx, spec, job.PoolOptions{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	opts := DefaultOptions()
-	opts.Warmup, opts.Measure = 500, 2_000
-	res, err := Run(nil, opts)
+	repeated, once := grid("go", "go", "compress"), grid("go", "compress")
+	if got, want := len(repeated.Export().Cells), len(once.Export().Cells); got != want || want != 4 {
+		t.Errorf("repeated grid exports %d cells, deduplicated grid %d, want 4", got, want)
+	}
+	if got, want := repeated.MeanSpeedup("general"), once.MeanSpeedup("general"); got != want {
+		t.Errorf("MeanSpeedup = %v with the repeat, %v without", got, want)
+	}
+	rt, rc := repeated.MeanComm("general")
+	ot, oc := once.MeanComm("general")
+	if rt != ot || rc != oc {
+		t.Errorf("MeanComm = (%v, %v) with the repeat, (%v, %v) without", rt, rc, ot, oc)
+	}
+	var rcsv, ocsv strings.Builder
+	if err := repeated.WriteCSV(&rcsv); err != nil {
+		t.Fatal(err)
+	}
+	if err := once.WriteCSV(&ocsv); err != nil {
+		t.Fatal(err)
+	}
+	if rcsv.String() != ocsv.String() {
+		t.Errorf("CSV differs with the repeat:\n%s\nwithout:\n%s", rcsv.String(), ocsv.String())
+	}
+}
+
+// TestLazyDefaultBenchmarks checks the lazy default: a spec without
+// Benchmarks plans the full workload set at run time, and the Result
+// echoes what actually ran.
+func TestLazyDefaultBenchmarks(t *testing.T) {
+	res, err := Run(context.Background(), job.GridSpec{Warmup: 500, Measure: 2_000}, job.PoolOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Opts.Benchmarks) != 8 {
-		t.Errorf("lazily planned %d benchmarks, want 8", len(res.Opts.Benchmarks))
+	if len(res.Spec.Benchmarks) != 8 {
+		t.Errorf("lazily planned %d benchmarks, want 8", len(res.Spec.Benchmarks))
 	}
-	for _, bench := range res.Opts.Benchmarks {
-		if res.Get(BaseScheme, bench) == nil {
+	for _, bench := range res.Spec.Benchmarks {
+		if res.Get(job.BaseScheme, bench) == nil {
 			t.Errorf("missing base run for lazily planned benchmark %s", bench)
 		}
 	}
 }
 
 // TestMeansGuardEmptyBenchmarks checks the zero-benchmark guards: a Result
-// whose Options carry no benchmarks must report zero means, not panic or
+// whose Spec carries no benchmarks must report zero means, not panic or
 // divide by zero.
 func TestMeansGuardEmptyBenchmarks(t *testing.T) {
 	r := &Result{Runs: map[string]map[string]*stats.Run{}}
 	if s := r.MeanSpeedup("general"); s != 0 {
-		t.Errorf("MeanSpeedup on empty options = %f, want 0", s)
+		t.Errorf("MeanSpeedup on an empty spec = %f, want 0", s)
 	}
 	total, crit := r.MeanComm("general")
 	if total != 0 || crit != 0 {
-		t.Errorf("MeanComm on empty options = (%f, %f), want (0, 0)", total, crit)
+		t.Errorf("MeanComm on an empty spec = (%f, %f), want (0, 0)", total, crit)
 	}
 }

@@ -1,30 +1,38 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/job"
 	"repro/internal/stats"
-	"repro/internal/steer"
 )
 
-// smallOpts keeps unit-test grids fast.
-func smallOpts() Options {
-	return Options{
+// smallSpec keeps unit-test grids fast.
+func smallSpec(schemes ...string) job.GridSpec {
+	return job.GridSpec{
+		Schemes:    schemes,
+		Benchmarks: []string{"compress", "go"},
 		Warmup:     5_000,
 		Measure:    30_000,
-		Benchmarks: []string{"compress", "go"},
-		Params:     steer.DefaultParams(),
 	}
 }
 
-func TestRunGridBasics(t *testing.T) {
-	res, err := Run([]string{"general", "modulo"}, smallOpts())
+// runSmall runs smallSpec(schemes...) on the default pool.
+func runSmall(t *testing.T, schemes ...string) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), smallSpec(schemes...), job.PoolOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []string{BaseScheme, "general", "modulo"} {
-		for _, bench := range res.Opts.Benchmarks {
+	return res
+}
+
+func TestRunGridBasics(t *testing.T) {
+	res := runSmall(t, "general", "modulo")
+	for _, scheme := range []string{job.BaseScheme, "general", "modulo"} {
+		for _, bench := range res.Spec.Benchmarks {
 			run := res.Get(scheme, bench)
 			if run == nil {
 				t.Fatalf("missing run %s/%s", scheme, bench)
@@ -40,11 +48,8 @@ func TestRunGridBasics(t *testing.T) {
 }
 
 func TestSpeedupAndMeans(t *testing.T) {
-	res, err := Run([]string{"general"}, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.Speedup(BaseScheme, "compress"); s != 0 {
+	res := runSmall(t, "general")
+	if s := res.Speedup(job.BaseScheme, "compress"); s != 0 {
 		t.Errorf("base speedup vs itself = %f, want 0", s)
 	}
 	mean := res.MeanSpeedup("general")
@@ -58,15 +63,6 @@ func TestSpeedupAndMeans(t *testing.T) {
 	h := res.MergedBalance("general")
 	if h.Samples == 0 {
 		t.Error("merged balance has no samples")
-	}
-}
-
-func TestRunOneUnknownInputs(t *testing.T) {
-	if _, err := RunOne("general", "nope", smallOpts()); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	if _, err := RunOne("nope", "compress", smallOpts()); err == nil {
-		t.Error("unknown scheme accepted")
 	}
 }
 
@@ -115,11 +111,7 @@ func TestAllExhibitsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exhibit grid in -short mode")
 	}
-	opts := smallOpts()
-	res, err := Run(SchemesFor(Exhibits()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSmall(t, SchemesFor(Exhibits())...)
 	for _, e := range Exhibits() {
 		out := e.Render(res)
 		if out == "" {
@@ -132,10 +124,7 @@ func TestAllExhibitsRender(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	res, err := Run([]string{"general"}, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSmall(t, "general")
 	var buf strings.Builder
 	if err := res.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -149,9 +138,11 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "scheme,benchmark,cycles") {
 		t.Errorf("CSV header wrong: %s", lines[0])
 	}
-	for _, want := range []string{"general,compress", "base,go"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CSV missing row %s", want)
+	// Rows in report order: base first, then the other schemes sorted,
+	// each over the benchmarks in grid order.
+	for i, want := range []string{"base,compress,", "base,go,", "general,compress,", "general,go,"} {
+		if !strings.HasPrefix(lines[i+1], want) {
+			t.Errorf("CSV row %d = %s, want the %s cell", i+1, lines[i+1], strings.TrimSuffix(want, ","))
 		}
 	}
 }

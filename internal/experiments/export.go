@@ -11,7 +11,7 @@ import (
 
 // Export is the serializable form of a Result: every cell's canonical job,
 // its content digest, and its measurements, in deterministic order
-// (BaseScheme first, remaining schemes sorted, benchmarks in grid order).
+// (job.BaseScheme first, remaining schemes sorted, benchmarks in grid order).
 // cmd/dcabench -json emits it so grids can be diffed and archived, and
 // cmd/dcaserve's grid endpoint streams it back to callers.
 type Export struct {
@@ -33,7 +33,7 @@ type ExportCell struct {
 	// digests mean bit-identical measurements.
 	ResultDigest string `json:"result_digest"`
 	// Attribution is the cell's stall breakdown when the grid ran with
-	// Options.Attrib. It rides alongside the result, never inside it: the
+	// attribution. It rides alongside the result, never inside it: the
 	// digest above covers the measurements only, so attributed and plain
 	// exports of the same grid carry identical digests.
 	Attribution *probe.Report `json:"attribution,omitempty"`
@@ -43,10 +43,10 @@ type ExportCell struct {
 // order (see reportJobs).
 func (r *Result) Export() *Export {
 	out := &Export{
-		Clusters:   r.Opts.Clusters,
-		Warmup:     r.Opts.Warmup,
-		Measure:    r.Opts.Measure,
-		Benchmarks: r.Opts.Benchmarks,
+		Clusters:   r.Spec.Clusters,
+		Warmup:     r.Spec.Warmup,
+		Measure:    r.Spec.Measure,
+		Benchmarks: r.Spec.Benchmarks,
 	}
 	for _, j := range r.reportJobs() {
 		run := r.Get(j.Scheme, j.Benchmark)
@@ -67,12 +67,12 @@ func (r *Result) Export() *Export {
 	return out
 }
 
-// reportJobs returns the grid's jobs in report order: BaseScheme's first,
-// then the other schemes' sorted by name, each scheme's benchmarks in grid
-// order.
+// reportJobs returns the grid's jobs in report order: job.BaseScheme's
+// first, then the other schemes' sorted by name, each scheme's benchmarks
+// in grid order.
 func (r *Result) reportJobs() []job.Job {
 	rank := func(scheme string) string {
-		if scheme == BaseScheme {
+		if scheme == job.BaseScheme {
 			return "" // scheme names are never empty, so base sorts first
 		}
 		return scheme

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/job"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -48,7 +49,7 @@ func Exhibits() []Exhibit {
 		{"fig13", "Figure 13: priority slice balance steering performance (% over base)",
 			[]string{"ldst-priority", "br-priority"}, renderFig13},
 		{"fig14", "Figure 14: general balance steering vs modulo vs 16-way upper bound",
-			[]string{"modulo", "general", UBScheme}, renderFig14},
+			[]string{"modulo", "general", job.UBScheme}, renderFig14},
 		{"fig15", "Figure 15: register replication under general balance steering",
 			[]string{"general"}, renderFig15},
 		{"fig16", "Figure 16: general balance steering versus FIFO-based steering",
@@ -68,7 +69,7 @@ func ExhibitByID(id string) (Exhibit, bool) {
 
 // SchemesFor returns the union of the schemes the exhibits need, in
 // exhibit order without duplicates — the one grid that renders them all
-// (BaseScheme is implicit: the grid always adds it).
+// (job.BaseScheme is implicit: the grid always adds it).
 func SchemesFor(exhibits []Exhibit) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -126,7 +127,7 @@ func cacheLine(c mem.Config) string {
 func speedupTable(r *Result, schemes []string) string {
 	headers := append([]string{"benchmark"}, schemes...)
 	t := stats.NewTable("", headers...)
-	for _, bench := range r.Opts.Benchmarks {
+	for _, bench := range r.Spec.Benchmarks {
 		vals := make([]float64, len(schemes))
 		for i, s := range schemes {
 			vals[i] = r.Speedup(s, bench)
@@ -153,7 +154,7 @@ func renderFig4(r *Result) string {
 
 func commTable(r *Result, schemes []string) string {
 	t := stats.NewTable("", "benchmark", "scheme", "comm/instr", "critical", "non-critical")
-	for _, bench := range r.Opts.Benchmarks {
+	for _, bench := range r.Spec.Benchmarks {
 		for _, s := range schemes {
 			run := r.Get(s, bench)
 			if run == nil {
@@ -221,14 +222,14 @@ func renderFig13(r *Result) string {
 }
 
 func renderFig14(r *Result) string {
-	return speedupTable(r, []string{"modulo", "general", UBScheme})
+	return speedupTable(r, []string{"modulo", "general", job.UBScheme})
 }
 
 func renderFig15(r *Result) string {
 	t := stats.NewTable("", "benchmark", "replicated regs/cycle")
 	sum := 0.0
 	n := 0
-	for _, bench := range r.Opts.Benchmarks {
+	for _, bench := range r.Spec.Benchmarks {
 		run := r.Get("general", bench)
 		if run == nil {
 			continue

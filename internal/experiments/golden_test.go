@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,12 +19,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from the current simulator")
 
-// goldenOpts is the fixed grid the golden file pins: every registered
+// goldenSpec is the fixed grid the golden file pins: every registered
 // scheme plus the base and upper-bound machines, on the paper's two
 // benchmarks with known-interesting behaviour, at a short window.
-func goldenOpts() Options {
-	return Options{Warmup: 5_000, Measure: 25_000,
-		Benchmarks: []string{"go", "compress"}, Params: steer.DefaultParams()}
+func goldenSpec() job.GridSpec {
+	return job.GridSpec{Schemes: goldenSchemes(), Benchmarks: []string{"go", "compress"},
+		Warmup: 5_000, Measure: 25_000}
 }
 
 // goldenSchemes returns the full scheme set the golden grid must cover, in
@@ -31,7 +32,7 @@ func goldenOpts() Options {
 func goldenSchemes() []string {
 	names := steer.Names()
 	sort.Strings(names)
-	return append([]string{BaseScheme, UBScheme}, names...)
+	return append([]string{job.BaseScheme, job.UBScheme}, names...)
 }
 
 // formatGoldenRun renders one measurement record in the fixed format of
@@ -53,14 +54,27 @@ func formatGoldenRun(scheme, bench string, r *stats.Run) string {
 		r.L1DMissRate, r.L1IMissRate, r.Balance.Samples, r.Balance.Buckets)
 }
 
-// goldenLine simulates one cell and renders its golden record.
-func goldenLine(scheme, bench string, opts Options, t *testing.T) string {
+// runCell plans the (scheme, bench) cell of g with job.Spec.Plan, as every
+// grid does, and simulates it through runner.
+func runCell(t *testing.T, runner job.Runner, g job.GridSpec, scheme, bench string) *stats.Run {
 	t.Helper()
-	r, err := RunOne(scheme, bench, opts)
+	j, err := job.Spec{Scheme: scheme, Benchmark: bench, Clusters: g.Clusters,
+		Warmup: g.Warmup, Measure: g.Measure, Params: g.Params}.Plan()
 	if err != nil {
 		t.Fatalf("%s/%s: %v", scheme, bench, err)
 	}
-	return formatGoldenRun(scheme, bench, r)
+	r, err := runner.Run(context.Background(), j)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", scheme, bench, err)
+	}
+	return r
+}
+
+// goldenLine simulates one cell through runner and renders its golden
+// record.
+func goldenLine(t *testing.T, runner job.Runner, g job.GridSpec, scheme, bench string) string {
+	t.Helper()
+	return formatGoldenRun(scheme, bench, runCell(t, runner, g, scheme, bench))
 }
 
 // TestGoldenTwoClusterBitIdentity replays the full scheme × benchmark grid
@@ -72,7 +86,7 @@ func goldenLine(scheme, bench string, opts Options, t *testing.T) string {
 // path, however small, fails this test. Regenerate deliberately with
 // `go test ./internal/experiments -run TestGolden -update`.
 func TestGoldenTwoClusterBitIdentity(t *testing.T) {
-	checkGoldenGrid(t, "testdata/golden_n2.txt", goldenSchemes(), goldenOpts())
+	checkGoldenGrid(t, "testdata/golden_n2.txt", goldenSpec())
 }
 
 // TestGoldenNClusterBitIdentity extends the lock to the generalized
@@ -88,27 +102,28 @@ func TestGoldenNClusterBitIdentity(t *testing.T) {
 	sort.Strings(names)
 	for _, n := range []int{4, 8} {
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			opts := goldenOpts()
-			opts.Clusters = n
-			checkGoldenGrid(t, fmt.Sprintf("testdata/golden_n%d.txt", n), names, opts)
+			g := goldenSpec()
+			g.Schemes, g.Clusters = names, n
+			checkGoldenGrid(t, fmt.Sprintf("testdata/golden_n%d.txt", n), g)
 		})
 	}
 }
 
 // checkGoldenGrid verifies (or, under -update, rewrites) the golden file
-// at path for the schemes × opts.Benchmarks grid. Verification is
-// followed by a completeness gate: a steering scheme registered without
-// golden coverage would silently escape the bit-identity lock.
-func checkGoldenGrid(t *testing.T, path string, schemes []string, opts Options) {
+// at path for the g.Schemes × g.Benchmarks grid, simulated directly.
+// Verification is followed by a completeness gate: a steering scheme
+// registered without golden coverage would silently escape the
+// bit-identity lock.
+func checkGoldenGrid(t *testing.T, path string, g job.GridSpec) {
 	t.Helper()
 	if *updateGolden {
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, scheme := range schemes {
-			for _, bench := range opts.Benchmarks {
-				fmt.Fprintln(f, goldenLine(scheme, bench, opts, t))
+		for _, scheme := range g.Schemes {
+			for _, bench := range g.Benchmarks {
+				fmt.Fprintln(f, goldenLine(t, job.Direct{}, g, scheme, bench))
 			}
 		}
 		if err := f.Close(); err != nil {
@@ -116,8 +131,8 @@ func checkGoldenGrid(t *testing.T, path string, schemes []string, opts Options) 
 		}
 		return
 	}
-	covered := verifyGoldenFile(t, path, opts)
-	for _, scheme := range schemes {
+	covered := verifyGoldenFile(t, path, g, job.Direct{})
+	for _, scheme := range g.Schemes {
 		if !covered[scheme] {
 			t.Errorf("scheme %q has no golden coverage in %s (rerun with -update)", scheme, path)
 		}
@@ -125,9 +140,10 @@ func checkGoldenGrid(t *testing.T, path string, schemes []string, opts Options) 
 }
 
 // verifyGoldenFile replays every cell recorded in the golden file at path
-// under opts and requires each rendered record to match byte for byte. It
-// returns the set of schemes the file covered.
-func verifyGoldenFile(t *testing.T, path string, opts Options) map[string]bool {
+// on g's machine size and window through runner, and requires each
+// rendered record to match byte for byte. It returns the set of schemes
+// the file covered.
+func verifyGoldenFile(t *testing.T, path string, g job.GridSpec, runner job.Runner) map[string]bool {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -150,7 +166,7 @@ func verifyGoldenFile(t *testing.T, path string, opts Options) map[string]bool {
 		scheme, bench := cell[0], cell[1]
 		covered[scheme] = true
 		t.Run(scheme+"/"+bench, func(t *testing.T) {
-			if got := goldenLine(scheme, bench, opts, t); got != want {
+			if got := goldenLine(t, runner, g, scheme, bench); got != want {
 				t.Errorf("stats diverged from pre-refactor golden\n got: %s\nwant: %s", got, want)
 			}
 		})
@@ -172,9 +188,7 @@ func TestGoldenCheckpointedRunner(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files are updated through the default runner")
 	}
-	opts := goldenOpts()
-	opts.Runner = &job.Checkpointed{}
-	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
+	verifyGoldenFile(t, "testdata/golden_n2.txt", goldenSpec(), &job.Checkpointed{})
 }
 
 // TestGoldenTracedRunner replays the full golden grid through the
@@ -188,17 +202,16 @@ func TestGoldenTracedRunner(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files are updated through the default runner")
 	}
-	opts := goldenOpts()
+	g := goldenSpec()
 	blobs := store.NewMemory(0)
 
 	cold := &job.Traced{Blobs: blobs}
-	opts.Runner = cold
-	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
+	verifyGoldenFile(t, "testdata/golden_n2.txt", g, cold)
 	m := cold.Metrics()
 	// One recording per benchmark of the grid — the amortization the
 	// layer exists for — and no cell may outrun the slack margin (a
 	// fallback would still be bit-identical, but the perf win gone).
-	if want := uint64(len(opts.Benchmarks)); m.Recordings != want {
+	if want := uint64(len(g.Benchmarks)); m.Recordings != want {
 		t.Errorf("cold grid made %d recordings, want exactly %d (one per benchmark)", m.Recordings, want)
 	}
 	if m.LiveFallbacks != 0 {
@@ -206,14 +219,12 @@ func TestGoldenTracedRunner(t *testing.T) {
 	}
 
 	warm := &job.Traced{Blobs: blobs}
-	opts.Runner = warm
-	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
-	if m := warm.Metrics(); m.Recordings != 0 || m.BlobHits != uint64(len(opts.Benchmarks)) {
-		t.Errorf("store-warm grid metrics %+v, want 0 recordings and %d blob hits", m, len(opts.Benchmarks))
+	verifyGoldenFile(t, "testdata/golden_n2.txt", g, warm)
+	if m := warm.Metrics(); m.Recordings != 0 || m.BlobHits != uint64(len(g.Benchmarks)) {
+		t.Errorf("store-warm grid metrics %+v, want 0 recordings and %d blob hits", m, len(g.Benchmarks))
 	}
 
-	// The composed stack — traces over warm snapshots — is the production
-	// configuration (dcabench -traced -store); it must hold the same line.
-	opts.Runner = &job.Traced{Next: &job.Checkpointed{}, Blobs: blobs}
-	verifyGoldenFile(t, "testdata/golden_n2.txt", opts)
+	// The composed stack — traces over warm snapshots, as the benchmark's
+	// sweep-reuse workload runs it — must hold the same line.
+	verifyGoldenFile(t, "testdata/golden_n2.txt", g, &job.Traced{Next: &job.Checkpointed{}, Blobs: blobs})
 }

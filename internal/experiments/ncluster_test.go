@@ -5,9 +5,13 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/steer"
 	"repro/internal/workload"
 )
+
+// nClusterSpec is the 4-cluster window the tests below simulate go on.
+var nClusterSpec = job.GridSpec{Clusters: 4, Warmup: 2_000, Measure: 20_000}
 
 // TestNClusterSchemesUseEveryCluster runs the generalized schemes on a
 // 4-cluster machine and asserts each one actually distributes work across
@@ -15,13 +19,6 @@ import (
 // Modulo must additionally be near-perfectly balanced (its round-robin is
 // exact up to datapath-forced placements).
 func TestNClusterSchemesUseEveryCluster(t *testing.T) {
-	opts := Options{
-		Warmup:     2_000,
-		Measure:    20_000,
-		Benchmarks: []string{"go"},
-		Clusters:   4,
-		Params:     steer.DefaultParams(),
-	}
 	cases := []struct {
 		scheme string
 		// minShare is the minimum fraction of steered instructions every
@@ -37,10 +34,7 @@ func TestNClusterSchemesUseEveryCluster(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scheme, func(t *testing.T) {
-			r, err := RunOne(tc.scheme, "go", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := runCell(t, job.Direct{}, nClusterSpec, tc.scheme, "go")
 			if len(r.Steered) != 4 {
 				t.Fatalf("Steered has %d entries, want 4", len(r.Steered))
 			}
@@ -68,12 +62,7 @@ func TestNClusterSchemesUseEveryCluster(t *testing.T) {
 // the baseline exists for (communication avoidance alone does not
 // distribute work), so the test asserts the concentration.
 func TestOperandBaselineConcentrates(t *testing.T) {
-	opts := Options{Warmup: 2_000, Measure: 20_000,
-		Benchmarks: []string{"go"}, Clusters: 4, Params: steer.DefaultParams()}
-	r, err := RunOne("operand", "go", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCell(t, job.Direct{}, nClusterSpec, "operand", "go")
 	var total uint64
 	for _, n := range r.Steered {
 		total += n
@@ -92,18 +81,12 @@ func TestOperandBaselineConcentrates(t *testing.T) {
 // least as many cycles as on a single-hop crossbar, never fewer.
 func TestNClusterRingSlowsCommunication(t *testing.T) {
 	run := func(ring bool) uint64 {
-		opts := Options{Warmup: 2_000, Measure: 20_000,
-			Benchmarks: []string{"go"}, Clusters: 4, Params: steer.DefaultParams()}
 		if !ring {
-			r, err := RunOne("modulo", "go", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r.Cycles
+			return runCell(t, job.Direct{}, nClusterSpec, "modulo", "go").Cycles
 		}
-		// The ring variant is built by hand: RunOne always uses the
-		// crossbar preset, so drive the core directly.
-		r, err := runOnRing(t, opts)
+		// The ring variant is built by hand: job.Spec.Plan always uses
+		// the crossbar preset, so drive the core directly.
+		r, err := runOnRing(t, nClusterSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,15 +99,16 @@ func TestNClusterRingSlowsCommunication(t *testing.T) {
 	}
 }
 
-// runOnRing simulates modulo/go on the 4-cluster ring machine.
-func runOnRing(t *testing.T, opts Options) (uint64, error) {
+// runOnRing simulates modulo/go on the 4-cluster ring machine over g's
+// window.
+func runOnRing(t *testing.T, g job.GridSpec) (uint64, error) {
 	t.Helper()
 	p, err := workload.Load("go")
 	if err != nil {
 		return 0, err
 	}
 	cfg := config.ClusteredNRing(4)
-	params := opts.Params
+	params := steer.DefaultParams()
 	params.Clusters = 4
 	st, err := steer.NewWithParams("modulo", p, params)
 	if err != nil {
@@ -134,7 +118,7 @@ func runOnRing(t *testing.T, opts Options) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r, err := m.RunWithWarmup(opts.Warmup, opts.Measure)
+	r, err := m.RunWithWarmup(g.Warmup, g.Measure)
 	if err != nil {
 		return 0, err
 	}

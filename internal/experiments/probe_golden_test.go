@@ -23,18 +23,16 @@ import (
 //     per-cycle samples equals stats.Run.Balance bit-for-bit, proving the
 //     sample stream the probe sees is the one the statistics are made of.
 func TestGoldenProbeInvariants(t *testing.T) {
-	opts := goldenOpts()
+	g := goldenSpec()
 	ctx := context.Background()
-	for _, scheme := range goldenSchemes() {
-		for _, bench := range opts.Benchmarks {
+	for _, scheme := range g.Schemes {
+		for _, bench := range g.Benchmarks {
 			t.Run(scheme+"/"+bench, func(t *testing.T) {
-				params := opts.Params
 				j, err := job.Spec{
 					Scheme:    scheme,
 					Benchmark: bench,
-					Warmup:    opts.Warmup,
-					Measure:   opts.Measure,
-					Params:    &params,
+					Warmup:    g.Warmup,
+					Measure:   g.Measure,
 				}.Plan()
 				if err != nil {
 					t.Fatal(err)
@@ -66,20 +64,19 @@ func TestGoldenProbeInvariants(t *testing.T) {
 	}
 }
 
-// TestGridAttribution runs a small grid with Opts.Attrib set and checks
+// TestGridAttribution runs a small grid with attribution on and checks
 // the plumbing end to end: every simulated cell has a retrievable report
 // whose totals reconcile with the cell's measurements, the export carries
 // the reports alongside unchanged digests, and the text renderer shows
 // them.
 func TestGridAttribution(t *testing.T) {
-	opts := Options{Warmup: 2_000, Measure: 10_000,
-		Benchmarks: []string{"go"}, Params: goldenOpts().Params}
-	opts.Attrib = true
-	res, err := Run([]string{"general"}, opts)
+	ctx := context.Background()
+	spec := job.GridSpec{Schemes: []string{"general"}, Benchmarks: []string{"go"}, Warmup: 2_000, Measure: 10_000}
+	res, err := Run(ctx, spec, job.PoolOptions{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []string{BaseScheme, "general"} {
+	for _, scheme := range []string{job.BaseScheme, "general"} {
 		rep := res.Attribution(scheme, "go")
 		if rep == nil {
 			t.Fatalf("%s: no attribution recorded", scheme)
@@ -107,9 +104,8 @@ func TestGridAttribution(t *testing.T) {
 		t.Errorf("attribution rendering misses the general/go cell:\n%s", txt)
 	}
 
-	// A grid without Attrib keeps the surfaces empty.
-	opts.Attrib = false
-	plain, err := Run([]string{"general"}, opts)
+	// A grid without attribution keeps the surfaces empty.
+	plain, err := Run(ctx, spec, job.PoolOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,24 +47,23 @@ func TestGoldenGridThroughStore(t *testing.T) {
 		t.Skip("full golden grid in -short mode")
 	}
 	golden := readGoldenLines(t)
-	opts := goldenOpts()
+	g := goldenSpec()
 
 	disk, err := store.NewDisk(filepath.Join(t.TempDir(), "results"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cached := store.NewCached(store.Tiered{Fast: store.NewMemory(16), Slow: disk}, nil)
-	opts.Runner = cached
+	pool := job.PoolOptions{Runner: cached}
 
-	schemes := goldenSchemes()
 	pass := func(name string) map[string]string {
-		res, err := Run(schemes, opts)
+		res, err := Run(context.Background(), g, pool, false)
 		if err != nil {
 			t.Fatalf("%s pass: %v", name, err)
 		}
 		digests := map[string]string{}
-		for _, scheme := range schemes {
-			for _, bench := range opts.Benchmarks {
+		for _, scheme := range g.Schemes {
+			for _, bench := range g.Benchmarks {
 				r := res.Get(scheme, bench)
 				if r == nil {
 					t.Fatalf("%s pass: missing %s/%s", name, scheme, bench)
@@ -80,7 +80,7 @@ func TestGoldenGridThroughStore(t *testing.T) {
 
 	cold := pass("cold")
 	m := cached.Metrics()
-	wantCells := uint64(len(schemes) * len(opts.Benchmarks))
+	wantCells := uint64(len(g.Schemes) * len(g.Benchmarks))
 	if m.Misses != wantCells {
 		t.Errorf("cold pass simulated %d cells, want %d", m.Misses, wantCells)
 	}

@@ -179,25 +179,31 @@ func TestValidateMessages(t *testing.T) {
 	}
 }
 
-// TestGridSpecPlan checks deterministic expansion, dedup and the lazy
-// benchmark default.
+// TestGridSpecPlan checks deterministic expansion, dedup of schemes and
+// benchmarks (first occurrence kept) and the lazy benchmark default.
 func TestGridSpecPlan(t *testing.T) {
-	jobs, err := GridSpec{
-		Schemes:    []string{BaseScheme, "general", BaseScheme, "modulo"},
-		Benchmarks: []string{"go", "gcc"},
-		Warmup:     10,
-		Measure:    100,
-	}.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, j := range jobs {
-		got = append(got, j.Scheme+"/"+j.Benchmark)
-	}
 	want := []string{"base/go", "base/gcc", "general/go", "general/gcc", "modulo/go", "modulo/gcc"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("grid = %v, want %v", got, want)
+	for _, benches := range [][]string{{"go", "gcc"}, {"go", "gcc", "go"}, {"go", "go", "gcc", "gcc"}} {
+		g := GridSpec{
+			Schemes:    []string{BaseScheme, "general", BaseScheme, "modulo"},
+			Benchmarks: benches,
+			Warmup:     10,
+			Measure:    100,
+		}
+		jobs, err := g.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, j := range jobs {
+			got = append(got, j.Scheme+"/"+j.Benchmark)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("benchmarks %v: grid = %v, want %v", benches, got, want)
+		}
+		if eff := g.EffectiveBenchmarks(); !reflect.DeepEqual(eff, []string{"go", "gcc"}) {
+			t.Errorf("benchmarks %v: EffectiveBenchmarks = %v, want [go gcc]", benches, eff)
+		}
 	}
 
 	lazy, err := GridSpec{Schemes: []string{"general"}, Warmup: 1, Measure: 1}.Plan()
@@ -208,10 +214,10 @@ func TestGridSpecPlan(t *testing.T) {
 		t.Errorf("lazy grid has %d jobs, want %d", len(lazy), len(workload.Names()))
 	}
 
-	if _, err := (GridSpec{Schemes: []string{"nope"}}).Plan(); err == nil {
-		t.Error("unknown scheme accepted")
+	if _, err := (GridSpec{Schemes: []string{"nope"}, Measure: 1}).Plan(); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("unknown scheme: err = %v, want one naming it", err)
 	}
-	if _, err := (GridSpec{Schemes: []string{"general"}, Clusters: 99}).Plan(); err == nil {
-		t.Error("bad cluster count accepted")
+	if _, err := (GridSpec{Schemes: []string{"general"}, Clusters: 99, Measure: 1}).Plan(); err == nil || !strings.Contains(err.Error(), "clusters unsupported") {
+		t.Errorf("bad cluster count: err = %v, want the cluster error", err)
 	}
 }

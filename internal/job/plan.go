@@ -86,13 +86,14 @@ func (s Spec) Plan() (Job, error) {
 }
 
 // GridSpec describes a whole evaluation grid: schemes × benchmarks at one
-// machine size and window. It is the serializable form of what
-// experiments.Options and dcaserve's /v1/grids accept.
+// machine size and window. It is the one grid request: internal/experiments
+// runs it, and dcaserve's /v1/grids and queued grids decode it.
 type GridSpec struct {
 	// Schemes lists the steering schemes (plus pseudo-schemes) to run, in
 	// the order the grid should iterate them; duplicates are dropped.
 	Schemes []string `json:"schemes"`
-	// Benchmarks selects the workloads. Nil or empty plans the full
+	// Benchmarks selects the workloads, in the order the grid should
+	// iterate them; duplicates are dropped. Nil or empty plans the full
 	// SpecInt95 analog set lazily — workload.Names() is consulted at plan
 	// time, not stored.
 	Benchmarks []string      `json:"benchmarks,omitempty"`
@@ -103,32 +104,42 @@ type GridSpec struct {
 }
 
 // EffectiveBenchmarks returns the benchmark list the grid will run: the
-// explicit selection, or the full default set when none was given.
+// explicit selection with repeats dropped (first occurrence kept), or the
+// full default set when none was given.
 func (g GridSpec) EffectiveBenchmarks() []string {
 	if len(g.Benchmarks) == 0 {
 		return workload.Names()
 	}
-	return g.Benchmarks
+	return dedup(g.Benchmarks)
+}
+
+// dedup returns names without repeats, keeping each name's first
+// occurrence in place.
+func dedup(names []string) []string {
+	seen := make(map[string]bool, len(names))
+	out := make([]string, 0, len(names))
+	for _, n := range names {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // Plan validates the grid and expands it into the canonical job list in
 // deterministic order: schemes in input order with duplicates dropped,
-// each crossed with the benchmarks in input order.
+// each crossed with EffectiveBenchmarks in order.
 func (g GridSpec) Plan() ([]Job, error) {
 	if err := ValidateMeasure(g.Measure); err != nil {
 		return nil, err
 	}
-	benches := g.EffectiveBenchmarks()
-	if err := ValidateInputs(g.Schemes, benches, g.Clusters); err != nil {
+	schemes, benches := dedup(g.Schemes), g.EffectiveBenchmarks()
+	if err := ValidateInputs(schemes, benches, g.Clusters); err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(g.Schemes))
-	jobs := make([]Job, 0, len(g.Schemes)*len(benches))
-	for _, scheme := range g.Schemes {
-		if seen[scheme] {
-			continue
-		}
-		seen[scheme] = true
+	jobs := make([]Job, 0, len(schemes)*len(benches))
+	for _, scheme := range schemes {
 		for _, bench := range benches {
 			j, err := Spec{
 				Scheme:    scheme,

@@ -74,12 +74,13 @@ func (a *Attributed) Report(key string) *probe.Report {
 	return a.reports[key]
 }
 
-// Disagreement runs every scheme of the spec (on the spec's single
-// benchmark) with a steering-forensics probe attached and builds the
-// scheme×scheme disagreement matrix. The oracle stream does not depend on
-// the scheme, and each program instruction is steered once, in order, so
-// steering decision k is the same program instruction in every run and the
-// matrix compares placements decision by decision.
+// Disagreement runs every scheme of the spec (planned by GridSpec.Plan, so
+// duplicates are dropped) on the spec's single benchmark with a
+// steering-forensics probe attached and builds the scheme×scheme
+// disagreement matrix. The oracle stream does not depend on the scheme,
+// and each program instruction is steered once, in order, so steering
+// decision k is the same program instruction in every run and the matrix
+// compares placements decision by decision.
 func Disagreement(ctx context.Context, g GridSpec) (*probe.Disagreement, error) {
 	benches := g.EffectiveBenchmarks()
 	if len(benches) != 1 {
@@ -88,19 +89,13 @@ func Disagreement(ctx context.Context, g GridSpec) (*probe.Disagreement, error) 
 	if len(g.Schemes) == 0 {
 		return nil, fmt.Errorf("job: disagreement wants at least one scheme")
 	}
-	choices := make([][]uint8, 0, len(g.Schemes))
-	for _, scheme := range g.Schemes {
-		j, err := Spec{
-			Scheme:    scheme,
-			Benchmark: benches[0],
-			Clusters:  g.Clusters,
-			Warmup:    g.Warmup,
-			Measure:   g.Measure,
-			Params:    g.Params,
-		}.Plan()
-		if err != nil {
-			return nil, err
-		}
+	jobs, err := g.Plan()
+	if err != nil {
+		return nil, err
+	}
+	schemes := make([]string, len(jobs))
+	choices := make([][]uint8, len(jobs))
+	for i, j := range jobs {
 		var f *probe.Forensics
 		pctx := WithProbe(ctx, func() core.Probe {
 			f = &probe.Forensics{}
@@ -109,7 +104,7 @@ func Disagreement(ctx context.Context, g GridSpec) (*probe.Disagreement, error) 
 		if _, err := (Direct{}).Run(pctx, j); err != nil {
 			return nil, err
 		}
-		choices = append(choices, f.Choices())
+		schemes[i], choices[i] = j.Scheme, f.Choices()
 	}
-	return probe.ComputeDisagreement(g.Schemes, choices)
+	return probe.ComputeDisagreement(schemes, choices)
 }

@@ -38,8 +38,8 @@ type Params struct {
 	IssueWidth int `json:"IssueWidth"`
 	// Clusters is the cluster count of the machine the policy will steer
 	// for; 0 means the paper's two. It must match the config.Config the
-	// core.Machine runs (experiments.RunOne and the CLIs keep them in
-	// sync).
+	// core.Machine runs (job.Spec.Plan sets it from the planned machine,
+	// so every grid and CLI keeps them in sync).
 	Clusters int `json:"Clusters"`
 	// UseI1 and UseI2 optionally disable one component of the combined
 	// imbalance metric for the ablation study (nil or true = enabled).

@@ -362,13 +362,24 @@ func (e *encoder) finish(window uint64) *Trace {
 }
 
 // EncodeSteps builds a trace from an externally captured step stream
-// (cmd/dcatrace convert). Every step is verified against p's semantics;
-// a stream the program cannot have produced is rejected.
+// (cmd/dcatrace convert). The programs take no input, so the stream a
+// fresh emulator produces for p is the only one p can have produced:
+// every step must equal the emulator's, stepped in lockstep, and the
+// first step that differs is rejected by name.
 func EncodeSteps(p *prog.Program, window uint64, steps []emu.Step) (*Trace, error) {
 	e := newEncoder(p)
+	m := emu.New(p)
+	var want emu.Step
 	for i := range steps {
 		if err := e.add(&steps[i]); err != nil {
 			return nil, err
+		}
+		if err := m.StepInto(&want); err != nil {
+			return nil, fmt.Errorf("trace: step %d: %w", i, err)
+		}
+		if steps[i] != want {
+			return nil, fmt.Errorf("trace: step %d (%v at PC %d) is %+v, the program produces %+v",
+				i, want.Inst.Op, want.PC, steps[i], want)
 		}
 	}
 	return e.finish(window), nil

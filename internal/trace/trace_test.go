@@ -565,4 +565,21 @@ func TestEncodeStepsRejectsForeignStream(t *testing.T) {
 		other := liveSteps(t, rdg.RandomProgram(8))
 		copy(s, other)
 	})
+
+	// Fields the encoder stores rather than derives: each must still
+	// equal what the program computes.
+	first := func(what string, match func(st *emu.Step) bool) int {
+		for i := range steps {
+			if match(&steps[i]) {
+				return i
+			}
+		}
+		t.Fatalf("stream has no %s step to tamper with", what)
+		return -1
+	}
+	alu := first("ALU", func(st *emu.Step) bool { return st.WroteReg && !st.Inst.Op.IsBranch() && !st.Inst.Op.IsLoad() })
+	mem := first("load/store", func(st *emu.Step) bool { return st.Inst.Op.IsLoad() || st.Inst.Op.IsStore() })
+	tamper("wrong value", func(s []emu.Step) { s[alu].Value++ })
+	tamper("wrong address", func(s []emu.Step) { s[mem].MemAddr += 8 })
+	tamper("taken on non-branch", func(s []emu.Step) { s[alu].Taken = true })
 }
