@@ -34,12 +34,12 @@ cover:
 	awk -v p="$$pct" 'BEGIN { if (p + 0 < 92.0) { print "coverage gate: " p "% < 92.0%"; exit 1 } }'
 
 # Fixed-budget coverage-guided smoke of the co-simulation property, of
-# the fast-forward differential (a skipping machine locked against a
-# tick-every-cycle one), and of the trace record/replay bit-identity
-# property. One invocation per target: go test accepts one -fuzz each.
+# wire-input planning (a decoded job.Spec is refused or runs without a
+# panic), and of the trace record/replay bit-identity property. One
+# invocation per target: go test accepts one -fuzz each.
 fuzz:
 	$(GO) test ./internal/core -run xxx -fuzz FuzzCoSimulate -fuzztime 20s
-	$(GO) test ./internal/core -run xxx -fuzz FuzzFastForward -fuzztime 10s
+	$(GO) test ./internal/job -run xxx -fuzz FuzzSpecPlan -fuzztime 10s
 	$(GO) test ./internal/trace -run xxx -fuzz FuzzTraceReplay -fuzztime 10s
 
 # Run the per-cycle core benchmarks for a fixed 2000 cycles per case: `go

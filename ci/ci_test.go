@@ -99,170 +99,98 @@ func TestDCALint(t *testing.T) {
 	}
 }
 
-// TestFastForwardSuiteWired gates the fast-forward and checkpoint
-// locks: the differential test, the fuzz target and the checkpoint
-// round-trip must exist in internal/core (renaming or deleting one would
-// silently drop the bit-identity enforcement for the skip paths), and
-// both `make fuzz` and the CI workflow must run the fast-forward fuzz
-// smoke alongside the co-simulation one.
-func TestFastForwardSuiteWired(t *testing.T) {
-	want := map[string]bool{
-		"TestFastForwardDifferential": false,
-		"FuzzFastForward":             false,
-		"TestCheckpointRoundTrip":     false,
-	}
+// requireTestFuncs requires each package directory under the module
+// root to declare, in its _test.go files, every named top-level function:
+// renaming or deleting one would silently drop the lock it enforces.
+func requireTestFuncs(t *testing.T, lock string, suites map[string][]string) {
+	t.Helper()
 	fset := token.NewFileSet()
-	dir := filepath.Join(repoRoot, "internal", "core")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
+	for rel, names := range suites {
+		dir := filepath.Join(repoRoot, rel)
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-				if _, tracked := want[fd.Name.Name]; tracked {
-					want[fd.Name.Name] = true
+		declared := map[string]bool{}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+					declared[fd.Name.Name] = true
 				}
 			}
 		}
-	}
-	for name, found := range want {
-		if !found {
-			t.Errorf("internal/core has no %s — the fast-forward/checkpoint bit-identity lock is gone", name)
+		for _, name := range names {
+			if !declared[name] {
+				t.Errorf("%s has no %s — %s is gone", rel, name, lock)
+			}
 		}
 	}
+}
+
+// requireCIRuns requires both the Makefile and the CI workflow to contain
+// every snippet (a fuzz invocation or a smoke script).
+func requireCIRuns(t *testing.T, snippets ...string) {
+	t.Helper()
 	for _, path := range []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml")} {
 		src, err := os.ReadFile(filepath.Join(repoRoot, path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(src), "-fuzz FuzzFastForward") {
-			t.Errorf("%s does not run the FuzzFastForward smoke", path)
+		for _, want := range snippets {
+			if !strings.Contains(string(src), want) {
+				t.Errorf("%s does not run %q", path, want)
+			}
 		}
 	}
+}
+
+// TestCheckpointSuiteWired gates the checkpoint round-trip lock in
+// internal/core and the fuzz targets beside it: the co-simulation
+// property and the wire-input planner (internal/job). Both `make fuzz`
+// and the CI workflow must run each fuzz smoke.
+func TestCheckpointSuiteWired(t *testing.T) {
+	requireTestFuncs(t, "the checkpoint/fuzz lock", map[string][]string{
+		filepath.Join("internal", "core"): {"TestCheckpointRoundTrip", "FuzzCoSimulate"},
+		filepath.Join("internal", "job"):  {"FuzzSpecPlan"},
+	})
+	requireCIRuns(t, "-fuzz FuzzCoSimulate", "-fuzz FuzzSpecPlan")
 }
 
 // TestTraceSuiteWired gates the oracle trace layer's bit-identity locks:
 // the record/replay fidelity tests and the fuzz target must exist in
 // internal/trace, the golden grid must run through job.Traced in
-// internal/experiments (renaming or deleting one would silently drop the
-// replay-equals-live enforcement), and both `make fuzz`/`make
-// trace-smoke` and the CI workflow must run the trace fuzz smoke and the
-// end-to-end trace smoke.
+// internal/experiments, and both `make fuzz`/`make trace-smoke` and the
+// CI workflow must run the trace fuzz smoke and the end-to-end trace
+// smoke.
 func TestTraceSuiteWired(t *testing.T) {
-	suites := map[string]map[string]bool{
-		filepath.Join("internal", "trace"): {
-			"TestReplayMachineBitIdentity":  false,
-			"TestDecodeRejectsEveryBitFlip": false,
-			"FuzzTraceReplay":               false,
-		},
-		filepath.Join("internal", "experiments"): {
-			"TestGoldenTracedRunner": false,
-		},
-	}
-	fset := token.NewFileSet()
-	for rel, want := range suites {
-		dir := filepath.Join(repoRoot, rel)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-					if _, tracked := want[fd.Name.Name]; tracked {
-						want[fd.Name.Name] = true
-					}
-				}
-			}
-		}
-		for name, found := range want {
-			if !found {
-				t.Errorf("%s has no %s — the trace replay bit-identity lock is gone", rel, name)
-			}
-		}
-	}
-	for _, path := range []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml")} {
-		src, err := os.ReadFile(filepath.Join(repoRoot, path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(src), "-fuzz FuzzTraceReplay") {
-			t.Errorf("%s does not run the FuzzTraceReplay smoke", path)
-		}
-		if !strings.Contains(string(src), "trace_smoke.sh") {
-			t.Errorf("%s does not run the end-to-end trace smoke", path)
-		}
-	}
+	requireTestFuncs(t, "the trace replay bit-identity lock", map[string][]string{
+		filepath.Join("internal", "trace"):       {"TestReplayMachineBitIdentity", "TestDecodeRejectsEveryBitFlip", "FuzzTraceReplay"},
+		filepath.Join("internal", "experiments"): {"TestGoldenTracedRunner"},
+	})
+	requireCIRuns(t, "-fuzz FuzzTraceReplay", "trace_smoke.sh")
 }
 
 // TestProbeSuiteWired gates the introspection layer's passivity locks:
-// the probed differential, the fast-forward attribution identity and the
-// conservation test must exist in internal/core, the golden grid must
-// reconcile detached and probed runs in internal/experiments, the serve
-// path must keep attribution out of the store (cmd/dcaserve), the
-// probeguard analyzer must stay in the default lint suite, and both the
-// Makefile and the CI workflow must run the end-to-end probe smoke.
-// Renaming or deleting any of these would silently drop the proof that
-// observation never changes a result.
+// the probed differential and the conservation test must exist in
+// internal/core, the golden grid must reconcile detached and probed runs
+// in internal/experiments, the serve path must keep attribution out of
+// the store (cmd/dcaserve), the probeguard analyzer must stay in the
+// default lint suite, and both the Makefile and the CI workflow must run
+// the end-to-end probe smoke. Renaming or deleting any of these would
+// silently drop the proof that observation never changes a result.
 func TestProbeSuiteWired(t *testing.T) {
-	suites := map[string]map[string]bool{
-		filepath.Join("internal", "core"): {
-			"TestProbePassivityDifferential":   false,
-			"TestProbeFastForwardIdentity":     false,
-			"TestProbeAttributionSumsToCycles": false,
-			"TestSteadyStateCycleAllocs":       false,
-		},
-		filepath.Join("internal", "experiments"): {
-			"TestGoldenProbeInvariants": false,
-		},
-		filepath.Join("cmd", "dcaserve"): {
-			"TestJobProbed": false,
-		},
-	}
-	fset := token.NewFileSet()
-	for rel, want := range suites {
-		dir := filepath.Join(repoRoot, rel)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-					if _, tracked := want[fd.Name.Name]; tracked {
-						want[fd.Name.Name] = true
-					}
-				}
-			}
-		}
-		for name, found := range want {
-			if !found {
-				t.Errorf("%s has no %s — the probe passivity lock is gone", rel, name)
-			}
-		}
-	}
+	requireTestFuncs(t, "the probe passivity lock", map[string][]string{
+		filepath.Join("internal", "core"):        {"TestProbePassivityDifferential", "TestProbeAttributionSumsToCycles", "TestSteadyStateCycleAllocs"},
+		filepath.Join("internal", "experiments"): {"TestGoldenProbeInvariants"},
+		filepath.Join("cmd", "dcaserve"):         {"TestJobProbed"},
+	})
 	hasProbeGuard := false
 	for _, a := range lint.DefaultAnalyzers() {
 		if a.Name == "probeguard" {
@@ -272,15 +200,7 @@ func TestProbeSuiteWired(t *testing.T) {
 	if !hasProbeGuard {
 		t.Error("lint.DefaultAnalyzers no longer includes probeguard — unguarded probe calls in the cycle loop would go unflagged")
 	}
-	for _, path := range []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml")} {
-		src, err := os.ReadFile(filepath.Join(repoRoot, path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(src), "probe_smoke.sh") {
-			t.Errorf("%s does not run the end-to-end probe smoke", path)
-		}
-	}
+	requireCIRuns(t, "probe_smoke.sh")
 }
 
 // TestDocReferencesExist requires every command, make target, benchmark

@@ -1,8 +1,9 @@
 package main
 
 // Regression tests for the production-hardening layer: handler validation
-// fixes (grid measure, lease batch size, progress wire shape, dead-stream
-// handling), the /metrics endpoint, admission control, and /v1/watch.
+// fixes (grid measure, balance params, lease batch size, progress wire
+// shape, dead-stream handling), the /metrics endpoint, admission control,
+// and /v1/watch.
 
 import (
 	"bufio"
@@ -93,6 +94,63 @@ func TestGridValidatesMeasureLikeJobs(t *testing.T) {
 	}
 	if n := counting.count(); n != 0 {
 		t.Errorf("%d simulations ran for rejected grids, want 0", n)
+	}
+}
+
+// TestHostileParamsRejected: an I2 window no balance scheme can run with
+// gets a 400 naming the field on every route that plans a spec, before
+// anything simulates, is enqueued or streams; and a valid job sent next
+// to the same one-slot server still gets its 200, so a rejection holds
+// no simulation slot.
+func TestHostileParamsRejected(t *testing.T) {
+	cell := func(w int) string {
+		return fmt.Sprintf(`"warmup":0,"measure":1000,"params":{"Threshold":8,"Window":%d,"Epoch":8192,"CriticalFraction":0.5,"IssueWidth":4}`, w)
+	}
+	for _, route := range []struct {
+		name, path string
+		body       func(window int) string
+	}{
+		{"jobs", "/v1/jobs", func(w int) string { return `{"scheme":"general","benchmark":"go",` + cell(w) + `}` }},
+		{"grids", "/v1/grids", func(w int) string { return `{"schemes":["general"],"benchmarks":["go"],` + cell(w) + `}` }},
+		{"queue spec", "/v1/queue", func(w int) string { return `{"spec":{"scheme":"general","benchmark":"go",` + cell(w) + `}}` }},
+		{"queue grid", "/v1/queue", func(w int) string { return `{"grid":{"schemes":["general"],"benchmarks":["go"],` + cell(w) + `}}` }},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			counting := &countingRunner{}
+			srv := newServer(store.NewMemory(0), counting, 1, queue.Options{}, limits{})
+			ts := httptest.NewServer(srv.handler())
+			t.Cleanup(ts.Close)
+			for _, w := range []int{0, -1, job.MaxWindow + 1} {
+				resp, err := http.Post(ts.URL+route.path, "application/json", strings.NewReader(route.body(w)))
+				if err != nil {
+					t.Fatalf("Window %d: %v", w, err)
+				}
+				var er errorResponse
+				json.NewDecoder(resp.Body).Decode(&er)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "Window") {
+					t.Errorf("Window %d: status %d, error %q; want a 400 naming Window", w, resp.StatusCode, er.Error)
+				}
+			}
+			if n, qs := counting.count(), srv.queue.Stats(); n != 0 || qs.Enqueued != 0 {
+				t.Errorf("rejected requests ran %d simulations and enqueued %d jobs, want 0 and 0", n, qs.Enqueued)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(tinySpec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("valid job after the rejections: %v", err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("valid job after the rejections: status %d, want 200", resp.StatusCode)
+			}
+		})
 	}
 }
 

@@ -386,15 +386,9 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed grid spec: %w", err))
 		return
 	}
-	// Validate through the shared job validator, so this entry point
-	// rejects bad windows with the same error text as every other.
-	if err := job.ValidateMeasure(spec.Measure); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	// Validate up front, while the status code is still writable — once
 	// the stream starts, failures degrade to in-stream error events.
-	if err := job.ValidateInputs(spec.Schemes, spec.EffectiveBenchmarks(), spec.Clusters); err != nil {
+	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

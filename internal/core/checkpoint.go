@@ -14,8 +14,8 @@ import (
 // from the snapshot. Restore produces a machine bit-identical to the one
 // the snapshot was taken from: measuring a restored machine yields exactly
 // the stats.Run an unbroken RunWithWarmup would have produced (the
-// checkpoint round-trip test locks this). DESIGN.md ("Fast-forward
-// invariant") documents the reuse key: warm state depends on everything in
+// checkpoint round-trip test locks this). DESIGN.md ("Warm-state
+// checkpoints") documents the reuse key: warm state depends on everything in
 // a job except the measurement budget, including the steering scheme —
 // policies train their tables during warm-up — so snapshots are shareable
 // only between runs that differ in Measure alone.

@@ -128,8 +128,8 @@ func TestInFlightNeverExceedsWindow(t *testing.T) {
 
 // TestLSQAwaitingMatchesScan checks, every cycle of every stress program
 // on several machines, that the LSQ's count of loads awaiting their access
-// equals what a full ReadyLoads scan finds: the memory stage and
-// fast-forward skip the scan on that count.
+// equals what a full ReadyLoads scan finds: the memory stage skips the
+// scan on that count.
 func TestLSQAwaitingMatchesScan(t *testing.T) {
 	for name, p := range invariantPrograms() {
 		for _, cfg := range []*config.Config{config.Clustered(), config.FIFOClustered(), config.ClusteredN(4)} {

@@ -18,7 +18,7 @@ type lsq struct {
 	n    int
 	// awaiting counts the loads whose address is known and whose access
 	// has not started — the entries ReadyLoads returns — so the memory
-	// stage and fast-forward skip their scans while it is zero. It
+	// stage skips its scan while it is zero. It
 	// changes only where those two flags do (MarkAddrKnown,
 	// MarkAccessed), and a checkpoint's struct copy carries it.
 	awaiting int
@@ -130,29 +130,6 @@ func (q *lsq) ReadyLoads(buf []*DynInst) []*DynInst {
 		}
 	}
 	return buf
-}
-
-// allBlocked reports whether every load currently eligible to attempt an
-// access or forward would classify as blocked behind an earlier store. It
-// is pure; fast-forward's idleness predicate uses it — a blocked
-// classification only changes through completion events (a store's address
-// becoming known or its data register turning ready), so the answer is
-// stable across an event-free window.
-//
-//dca:hotpath
-func (q *lsq) allBlocked(rf []regFile) bool {
-	if q.awaiting == 0 {
-		return true
-	}
-	for i := 0; i < q.n; i++ {
-		d := q.at(i)
-		if d.isLoad && d.lsqAddrKnown && !d.lsqAccessed && d.state == stateMemWait {
-			if q.classify(d, rf) != loadBlocked {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Remove deletes a committed memory instruction. Commit is in order, so

@@ -216,8 +216,8 @@ func TestLSQAwaitingCount(t *testing.T) {
 	for _, d := range []*DynInst{ld1, st, ld2} {
 		q.Add(d)
 	}
-	if q.Awaiting() != 0 || !q.allBlocked(storeFiles(true)) {
-		t.Fatalf("fresh queue: awaiting %d, want 0 and nothing to unblock", q.Awaiting())
+	if q.Awaiting() != 0 {
+		t.Fatalf("fresh queue: awaiting %d, want 0", q.Awaiting())
 	}
 	q.MarkAddrKnown(ld1)
 	q.MarkAddrKnown(st) // stores never await an access

@@ -157,10 +157,6 @@ type Machine struct {
 	// asked for; Measure adds its own budget on top so the two-phase run
 	// targets the same absolute commit count as a single-loop run.
 	warmed uint64
-
-	// fastForward enables event-driven skipping of provably idle cycles
-	// (on by default; see fastforward.go for the no-op predicate).
-	fastForward bool
 }
 
 // pcDecode is the decode record of one static instruction: its register
@@ -226,7 +222,6 @@ func NewWithOracle(cfg *config.Config, p *prog.Program, st Steerer, o Oracle) (*
 		evtTail:     make([]*DynInst, initialWheelSize),
 		busUsed:     make([]int, cfg.NumClusters()),
 		readySample: make([]int, cfg.NumClusters()),
-		fastForward: true,
 	}
 	m.files = make([]regFile, 0, cfg.NumClusters())
 	m.iqs = make([]issueQueue, 0, cfg.NumClusters())
@@ -500,14 +495,10 @@ func (m *Machine) measureTo(target uint64) (*stats.Run, error) {
 }
 
 // runUntil is the simulation loop shared by the warm and measure phases:
-// step — fast-forwarding across provably idle stretches — until target
-// committed program instructions (0 = until HALT), with the no-commit
-// watchdog.
+// step one cycle at a time until target committed program instructions
+// (0 = until HALT), with the no-commit watchdog.
 func (m *Machine) runUntil(target uint64) error {
 	for !m.haltCommitted && (target == 0 || m.committedProg < target) {
-		if m.fastForward {
-			m.tryFastForward()
-		}
 		if err := m.step(); err != nil {
 			return err
 		}
@@ -588,7 +579,7 @@ func (m *Machine) step() error {
 	m.fetch()
 
 	// 9. Per-cycle introspection sample (no-op with no probe attached).
-	m.probeCycle(1, retired)
+	m.probeCycle(retired)
 
 	if m.measuring {
 		m.cyclesMeasured++
@@ -881,8 +872,8 @@ type copyPlan struct {
 // with only FP adders; the nearest capable cluster, by copy distance with
 // ties to the lowest index, takes over), and in FIFO mode the joint
 // cluster+FIFO heuristic of Palacharla/Jouppi/Smith runs with the policy's
-// choice as tie-break. It is pure: fast-forward's idleness predicate and
-// the steering probe share it with dispatch.
+// choice as tie-break. It is pure: the steering probe shares it with
+// dispatch.
 //
 //dca:hotpath
 func (m *Machine) resolveTarget(fi *fetched) (ClusterID, SteerReason) {
@@ -950,8 +941,7 @@ planSrcs:
 // queue entries and registers — not window capacity), destination
 // registers (the copies' dests plus the instruction's own), IQ slots per
 // cluster, and an LSQ slot for memory operations. It is pure and consumes
-// no sequence number; fast-forward's idleness predicate shares it with
-// dispatch, which keeps the two in lock-step.
+// no sequence number.
 //
 //dca:hotpath
 func (m *Machine) dispatchBlocked(fi *fetched, target ClusterID, plans *[2]copyPlan, nPlans int) bool {

@@ -41,9 +41,6 @@ type Probe interface {
 	// where the steering decision is made (the first dispatch attempt).
 	Steer(dec *SteerDecision)
 	// Cycle is called once per simulated cycle, after every stage has run.
-	// A fast-forwarded idle window arrives as one call with N > 1: the
-	// machine state (and therefore the sample) is provably constant across
-	// the window, so one sample stands for all N cycles.
 	Cycle(s *CycleSample)
 }
 
@@ -251,31 +248,26 @@ func (c StallClass) String() string {
 // NumClusters entries of the per-cluster arrays are meaningful. The
 // buffer is reused; probes must copy what they keep.
 type CycleSample struct {
-	// Cycle is the sampled cycle; N is how many consecutive identical
-	// cycles this sample stands for (N > 1 only for a fast-forwarded idle
-	// window starting at Cycle, whose state is provably constant).
+	// Cycle is the sampled cycle.
 	Cycle uint64
-	N     uint64
-	// Class attributes the cycle (all N of them) to a stall taxonomy
-	// bucket.
+	// Class attributes the cycle to a stall taxonomy bucket.
 	Class StallClass
-	// Measuring reports whether these cycles count toward stats.Run
-	// (false during warm-up). Attribution that must reconcile with
-	// Run.Cycles sums only measuring samples.
+	// Measuring reports whether this cycle counts toward stats.Run (false
+	// during warm-up). Attribution that must reconcile with Run.Cycles
+	// sums only measuring samples.
 	Measuring bool
-	// Retired is the number of instructions committed this cycle (always
-	// 0 for fast-forwarded windows).
+	// Retired is the number of instructions committed this cycle.
 	Retired int
 	// NumClusters sizes the arrays below.
 	NumClusters int
 	// Ready is each cluster's ready count — exactly the values the
-	// machine's balance histogram recorded for these cycles, so a probe
+	// machine's balance histogram recorded for this cycle, so a probe
 	// can reproduce stats.Run.Balance bit-for-bit via BalanceDiff.
 	Ready [config.MaxClusters]int
 	// IQLen is each cluster's issue-queue occupancy.
 	IQLen [config.MaxClusters]int
 	// BusUsed is the number of inter-cluster copies that left each source
-	// cluster this cycle (always 0 for fast-forwarded windows).
+	// cluster this cycle.
 	BusUsed [config.MaxClusters]int
 	// ReplicatedRegs is the number of architectural registers currently
 	// mapped in more than one cluster.
@@ -367,15 +359,13 @@ func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
 	}
 }
 
-// probeCycle classifies and forwards the per-cycle sample; n > 1 batches
-// a fast-forwarded idle window whose state is constant.
+// probeCycle classifies and forwards the per-cycle sample.
 //
 //dca:hotpath
-func (m *Machine) probeCycle(n uint64, retired int) {
+func (m *Machine) probeCycle(retired int) {
 	if m.probe != nil {
 		s := &m.probeSample
 		s.Cycle = m.cycle
-		s.N = n
 		s.Class = m.classifyCycle(retired)
 		s.Measuring = m.measuring
 		s.Retired = retired
@@ -384,11 +374,7 @@ func (m *Machine) probeCycle(n uint64, retired int) {
 		for c := 0; c < nc; c++ {
 			s.Ready[c] = m.readySample[c]
 			s.IQLen[c] = m.iqs[c].Len()
-			if n == 1 {
-				s.BusUsed[c] = m.busUsed[c]
-			} else {
-				s.BusUsed[c] = 0
-			}
+			s.BusUsed[c] = m.busUsed[c]
 		}
 		s.ReplicatedRegs = m.rt.replicatedCount()
 		s.RobLen = m.robLen
@@ -399,12 +385,8 @@ func (m *Machine) probeCycle(n uint64, retired int) {
 
 // classifyCycle attributes the cycle that just finished to a StallClass.
 // The chain is a priority order over end-of-cycle state, so the taxonomy
-// is total and exclusive by construction. Every clause reads only state
-// that is stable across a fast-forwarded idle window (nothing completes,
-// issues, dispatches or commits inside one), so one classification stands
-// for a whole window and a skipping run attributes exactly like a
-// tick-every-cycle run (TestProbeFastForwardIdentity). Runs only under
-// probeCycle's guard.
+// is total and exclusive by construction. Runs only under probeCycle's
+// guard.
 //
 // A full fetch queue has no class of its own: it is a symptom, not a
 // cause. With instructions in flight the head's class names what holds

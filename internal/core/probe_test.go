@@ -1,15 +1,10 @@
-// Probe-seam passivity and attribution suite. Three properties lock the
+// Probe-seam passivity and attribution suite. Two properties lock the
 // introspection layer (ARCHITECTURE.md, "The introspection layer"):
 //
 //  1. Passivity: every digest of the differential harness is bit-identical
 //     with the full built-in probe stack attached — probes observe, they
 //     never steer.
-//  2. Fast-forward identity: cycle attribution over a fast-forwarding run
-//     equals attribution over the same run stepped cycle by cycle, class
-//     by class and balance bucket by balance bucket. The batched window
-//     sample in tryFastForward rests on this being provable; this test
-//     makes it falsifiable.
-//  3. Totality: the stall taxonomy is total and exclusive — per-run class
+//  2. Totality: the stall taxonomy is total and exclusive — per-run class
 //     totals sum exactly to stats.Run.Cycles, and the balance histogram
 //     rebuilt from cycle samples equals stats.Run.Balance bit-for-bit.
 package core_test
@@ -76,10 +71,9 @@ func TestProbePassivityDifferential(t *testing.T) {
 }
 
 // probedRun simulates one differential cell with an attribution probe
-// attached and fast-forward set as given, through the warm/measure
-// boundary (the boundary is where sample batching and the Measuring flag
-// interact).
-func probedRun(t *testing.T, n int, scheme string, seed int64, ff bool) (*stats.Run, *probe.Attribution) {
+// attached, through the warm/measure boundary (where the Measuring flag
+// turns on).
+func probedRun(t *testing.T, n int, scheme string, seed int64) (*stats.Run, *probe.Attribution) {
 	t.Helper()
 	p := rdg.RandomProgram(seed)
 	cfg := diffConfigFor(scheme, n)
@@ -93,48 +87,13 @@ func probedRun(t *testing.T, n int, scheme string, seed int64, ff bool) (*stats.
 	if err != nil {
 		t.Fatalf("n=%d %s seed=%d: %v", n, scheme, seed, err)
 	}
-	m.SetFastForward(ff)
 	at := probe.NewAttribution()
 	m.SetProbe(at)
 	r, err := m.RunWithWarmup(200, 0)
 	if err != nil {
-		t.Fatalf("n=%d %s seed=%d ff=%v: %v", n, scheme, seed, ff, err)
+		t.Fatalf("n=%d %s seed=%d: %v", n, scheme, seed, err)
 	}
 	return r, at
-}
-
-// TestProbeFastForwardIdentity requires attribution over a fast-forwarded
-// run to be bit-identical to attribution over per-cycle stepping: same
-// measurement record, same per-class cycle totals, same rebuilt balance
-// histogram. Any classifyCycle clause reading state that can change inside
-// an idle window would fail here.
-func TestProbeFastForwardIdentity(t *testing.T) {
-	for _, n := range []int{2, 4, 8} {
-		for _, scheme := range []string{"general", "fifo"} {
-			for _, seed := range diffSeeds {
-				slowR, slowA := probedRun(t, n, scheme, seed, false)
-				fastR, fastA := probedRun(t, n, scheme, seed, true)
-				if !reflect.DeepEqual(slowR, fastR) {
-					t.Fatalf("n=%d %s seed=%d: measurement records diverged under fast-forward\n  ff:        %+v\n  per-cycle: %+v",
-						n, scheme, seed, *fastR, *slowR)
-				}
-				for c := core.StallClass(0); c < core.NumStallClasses; c++ {
-					if slowA.Cycles(c) != fastA.Cycles(c) {
-						t.Errorf("n=%d %s seed=%d: class %v attributed %d cycles per-cycle but %d fast-forwarded",
-							n, scheme, seed, c, slowA.Cycles(c), fastA.Cycles(c))
-					}
-				}
-				if slowA.Total() != fastA.Total() {
-					t.Errorf("n=%d %s seed=%d: attributed totals diverged: per-cycle %d, ff %d",
-						n, scheme, seed, slowA.Total(), fastA.Total())
-				}
-				if *slowA.Balance() != *fastA.Balance() {
-					t.Errorf("n=%d %s seed=%d: probe balance histograms diverged under fast-forward",
-						n, scheme, seed)
-				}
-			}
-		}
-	}
 }
 
 // TestProbeAttributionSumsToCycles sweeps every registered scheme on the
@@ -144,7 +103,7 @@ func TestProbeFastForwardIdentity(t *testing.T) {
 // variant of this invariant lives in internal/experiments.)
 func TestProbeAttributionSumsToCycles(t *testing.T) {
 	for _, scheme := range steer.Names() {
-		r, at := probedRun(t, 2, scheme, diffSeeds[1], true)
+		r, at := probedRun(t, 2, scheme, diffSeeds[1])
 		rep := at.Report()
 		if rep.Sum() != rep.TotalCycles {
 			t.Errorf("%s: taxonomy not exclusive: buckets sum to %d, total %d", scheme, rep.Sum(), rep.TotalCycles)
@@ -163,7 +122,7 @@ func TestProbeAttributionSumsToCycles(t *testing.T) {
 // had a probe (digest equality via the harness covers the behaviour; this
 // covers the nil transition).
 func TestProbeDetach(t *testing.T) {
-	r1, _ := probedRun(t, 2, "general", diffSeeds[0], false)
+	r1, _ := probedRun(t, 2, "general", diffSeeds[0])
 
 	p := rdg.RandomProgram(diffSeeds[0])
 	cfg := diffConfigFor("general", 2)

@@ -94,8 +94,8 @@ func TestTimingWheelGrowthMidFlight(t *testing.T) {
 	}
 }
 
-// checkWheelInvariant verifies the structural invariant fast-forward's
-// wake scan (ffWake) and growWheel both rely on: no pending event is in
+// checkWheelInvariant verifies the structural invariant growWheel relies
+// on: no pending event is in
 // the past, every chain links events of one completion cycle only, each
 // chain hangs off the slot its cycle masks to, and evtTail points at the
 // chain's last element.
@@ -133,12 +133,10 @@ func checkWheelInvariant(t *testing.T, m *Machine) {
 // TestTimingWheelAdversarialSchedules drives the wheel with randomized
 // adversarial completion schedules — bursts clustered just ahead of the
 // current cycle, exactly at the span boundary, and far enough out to force
-// growth mid-stream — interleaved with partial drains, the pattern a
-// fast-forwarding run produces when it jumps between sparse events. After
-// every burst the structural invariant must hold, ffWake must report the
-// earliest pending event, and the final drain must deliver every event at
-// exactly its completion cycle in schedule order (growth must never
-// reorder a chain).
+// growth mid-stream — interleaved with partial drains. After every burst
+// the structural invariant must hold, and the final drain must deliver
+// every event at exactly its completion cycle in schedule order (growth
+// must never reorder a chain).
 func TestTimingWheelAdversarialSchedules(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	m := wheelMachine(t)
@@ -184,20 +182,6 @@ func TestTimingWheelAdversarialSchedules(t *testing.T) {
 			pending++
 		}
 		checkWheelInvariant(t, m)
-
-		// ffWake must find the earliest pending event (nothing else is
-		// pending on this machine, and the watchdog clamp is far away).
-		earliest := uint64(0)
-		for at := uint64(m.cycle) + 1; earliest == 0 && at <= m.cycle+uint64(len(m.evtHead)); at++ {
-			if len(scheduled[at]) > len(delivered[at]) {
-				earliest = at
-			}
-		}
-		if earliest != 0 {
-			if wake := m.ffWake(); wake != earliest {
-				t.Fatalf("cycle %d: ffWake = %d, earliest pending event at %d", m.cycle, wake, earliest)
-			}
-		}
 
 		// Partial drain: complete a random number of cycles.
 		for i, n := 0, r.Intn(12); i < n; i++ {

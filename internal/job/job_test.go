@@ -221,3 +221,75 @@ func TestGridSpecPlan(t *testing.T) {
 		t.Errorf("bad cluster count: err = %v, want the cluster error", err)
 	}
 }
+
+// TestPlanRejectsBadWindow: a spec or grid whose params carry an I2
+// window no balance scheme can run with (empty, negative, or past
+// MaxWindow) is refused at plan time, naming the field, before anything
+// simulates; the bounds themselves plan and run.
+func TestPlanRejectsBadWindow(t *testing.T) {
+	for _, w := range []int{0, -1, MaxWindow + 1} {
+		p := steer.DefaultParams()
+		p.Window = w
+		spec := Spec{Scheme: "general", Benchmark: "go", Measure: 1000, Params: &p}
+		if _, err := spec.Plan(); err == nil || !strings.Contains(err.Error(), "Window") {
+			t.Errorf("Window %d: Spec.Plan err = %v, want one naming Window", w, err)
+		}
+		grid := GridSpec{Schemes: []string{"general"}, Benchmarks: []string{"go"}, Measure: 1000, Params: &p}
+		if err := grid.Validate(); err == nil || !strings.Contains(err.Error(), "Window") {
+			t.Errorf("Window %d: GridSpec.Validate err = %v, want one naming Window", w, err)
+		}
+		if _, err := grid.Plan(); err == nil || !strings.Contains(err.Error(), "Window") {
+			t.Errorf("Window %d: GridSpec.Plan err = %v, want one naming Window", w, err)
+		}
+	}
+	for _, w := range []int{1, MaxWindow} {
+		p := steer.DefaultParams()
+		p.Window = w
+		j, err := Spec{Scheme: "general", Benchmark: "go", Clusters: 8, Measure: 1000, Params: &p}.Plan()
+		if err != nil {
+			t.Fatalf("Window %d: %v", w, err)
+		}
+		if _, err := (Direct{}).Run(context.Background(), j); err != nil {
+			t.Errorf("Window %d: %v", w, err)
+		}
+	}
+}
+
+// FuzzSpecPlan drives the wire-input path every service route shares: bytes
+// that decode as a JSON Spec are either refused by Plan or, with the
+// windows capped so each input stays cheap, simulate to a result or an
+// error — never a panic. The seeds include the empty and negative I2
+// windows, which would panic in the steering schemes if Plan let them
+// through.
+func FuzzSpecPlan(f *testing.F) {
+	seed := func(s Spec, window int) {
+		p := steer.DefaultParams()
+		p.Window = window
+		s.Params = &p
+		raw, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	base := Spec{Scheme: "general", Benchmark: "go", Warmup: 100, Measure: 1000}
+	seed(base, steer.DefaultParams().Window)
+	seed(base, 0)
+	seed(base, -1)
+	seed(Spec{Scheme: "ldst-priority", Benchmark: "gcc", Clusters: 8, Warmup: 100, Measure: 1000}, steer.DefaultParams().Window)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var s Spec
+		if json.Unmarshal(raw, &s) != nil {
+			return
+		}
+		j, err := s.Plan()
+		if err != nil {
+			return
+		}
+		j.Warmup = min(j.Warmup, 500)
+		j.Measure = min(j.Measure, 2_000)
+		if r, err := (Direct{}).Run(context.Background(), j); r == nil && err == nil {
+			t.Fatal("Direct.Run returned neither a result nor an error")
+		}
+	})
+}

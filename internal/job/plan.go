@@ -65,6 +65,9 @@ func (s Spec) Plan() (Job, error) {
 	if err := ValidateBenchmark(s.Benchmark); err != nil {
 		return Job{}, err
 	}
+	if err := ValidateParams(s.Params); err != nil {
+		return Job{}, err
+	}
 	cfg := ConfigFor(s.Scheme, s.Clusters)
 	var params steer.Params
 	if s.Scheme != BaseScheme && s.Scheme != UBScheme {
@@ -131,13 +134,10 @@ func dedup(names []string) []string {
 // deterministic order: schemes in input order with duplicates dropped,
 // each crossed with EffectiveBenchmarks in order.
 func (g GridSpec) Plan() ([]Job, error) {
-	if err := ValidateMeasure(g.Measure); err != nil {
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	schemes, benches := dedup(g.Schemes), g.EffectiveBenchmarks()
-	if err := ValidateInputs(schemes, benches, g.Clusters); err != nil {
-		return nil, err
-	}
 	jobs := make([]Job, 0, len(schemes)*len(benches))
 	for _, scheme := range schemes {
 		for _, bench := range benches {

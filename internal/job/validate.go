@@ -10,10 +10,17 @@ import (
 )
 
 // This file is the single home of run-layer input validation. cmd/dcasim,
-// cmd/dcabench and internal/experiments all reject unknown schemes,
-// benchmarks and cluster counts through these functions, so a typo fails
-// in microseconds — before any simulation starts — with the same error
-// text everywhere.
+// cmd/dcabench, cmd/dcaserve and internal/experiments all reject unknown
+// schemes, benchmarks and cluster counts, and balance parameters no
+// scheme can run with, through these functions, so a typo fails in
+// microseconds — before any simulation starts — with the same error text
+// everywhere.
+
+// MaxWindow bounds steer.Params.Window, the number of cycles the I2
+// imbalance metric averages over (paper: 16). Every balance scheme
+// allocates clusters × Window counters, so the bound caps a request's
+// memory; it is far above the widest window the ablation sweeps (64).
+const MaxWindow = 1024
 
 // ValidateClusters rejects cluster counts no machine preset supports: 0
 // (the paper's asymmetric two-cluster processor) and 1..config.MaxClusters
@@ -54,21 +61,37 @@ func ValidateBenchmark(bench string) error {
 	return nil
 }
 
-// ValidateInputs checks a full grid request: every scheme, every
-// benchmark, and the cluster count.
-func ValidateInputs(schemes, benches []string, clusters int) error {
-	if err := ValidateClusters(clusters); err != nil {
+// ValidateParams rejects balance parameters the steering schemes cannot
+// run with; nil (steer.DefaultParams) is valid. A Window outside
+// 1..MaxWindow would make the I2 window empty (an index panic on the
+// first cycle), negative (a makeslice panic) or unboundedly large.
+func ValidateParams(p *steer.Params) error {
+	if p != nil && (p.Window < 1 || p.Window > MaxWindow) {
+		return fmt.Errorf("job: params Window %d out of range (want 1..%d)", p.Window, MaxWindow)
+	}
+	return nil
+}
+
+// Validate checks a whole grid request without planning it: the window,
+// the cluster count, every scheme, every benchmark and the balance
+// parameters. Plan calls it, and so does dcaserve's /v1/grids while its
+// status code is still writable.
+func (g GridSpec) Validate() error {
+	if err := ValidateMeasure(g.Measure); err != nil {
 		return err
 	}
-	for _, s := range schemes {
+	if err := ValidateClusters(g.Clusters); err != nil {
+		return err
+	}
+	for _, s := range g.Schemes {
 		if err := ValidateScheme(s); err != nil {
 			return err
 		}
 	}
-	for _, b := range benches {
+	for _, b := range g.EffectiveBenchmarks() {
 		if err := ValidateBenchmark(b); err != nil {
 			return err
 		}
 	}
-	return nil
+	return ValidateParams(g.Params)
 }

@@ -93,9 +93,9 @@ func (a *Attribution) Cycle(s *core.CycleSample) {
 	if !s.Measuring {
 		return
 	}
-	a.counts[s.Class] += s.N
-	a.total += s.N
-	a.balance.RecordN(core.BalanceDiff(s.Ready[:s.NumClusters]), s.N)
+	a.counts[s.Class]++
+	a.total++
+	a.balance.Record(core.BalanceDiff(s.Ready[:s.NumClusters]))
 }
 
 // Total returns the measured cycles attributed so far.

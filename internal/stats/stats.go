@@ -40,21 +40,6 @@ func (h *BalanceHist) Record(diff int) {
 	h.Samples++
 }
 
-// RecordN adds n cycles with the same difference sample, equivalent to n
-// Record(diff) calls. The fast-forward path of the timing core batches the
-// samples of a provably idle window through it (the difference cannot
-// change while every queue is quiescent).
-func (h *BalanceHist) RecordN(diff int, n uint64) {
-	if diff > BalanceRange {
-		diff = BalanceRange
-	}
-	if diff < -BalanceRange {
-		diff = -BalanceRange
-	}
-	h.Buckets[diff+BalanceRange] += n
-	h.Samples += n
-}
-
 // Percent returns the percentage of cycles in bucket diff.
 func (h *BalanceHist) Percent(diff int) float64 {
 	if h.Samples == 0 {
