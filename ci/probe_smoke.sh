@@ -4,13 +4,14 @@
 # (-attrib + -konata), and assert the probes are passive (bit-identical
 # result digest), the cycle attribution accounts for every measured cycle,
 # and the Konata export is a well-formed pipeline trace. Every dcasim run
-# is a job on one run path, so a -pipetrace run, a -machine override that
-# names the default machine, and an assembly file run with and without
-# -pipetrace must each match their plain counterpart. Then submit the
-# same cell to dcaserve with "probe": true and assert the response carries
-# an attribution alongside an unchanged digest while the stored result
-# stays probe-free. Run from the repo root (`make probe-smoke` or the CI
-# step).
+# is a job on one run path, so a -pipetrace run must match its plain
+# counterpart, and an assembly file must give the same digest with and
+# without -pipetrace. Then submit the same cell to dcaserve with "probe":
+# true and assert the response carries an attribution alongside an
+# unchanged digest while the stored result stays probe-free; and submit
+# the base machine's cell, whose digest must be the one `dcasim -scheme
+# base` prints (the scheme names its machine). Run from the repo root
+# (`make probe-smoke` or the CI step).
 set -eu
 
 ADDR=127.0.0.1:8099
@@ -23,6 +24,7 @@ PROBED="$TMP/probesmoke-probed.txt"
 OUT="$TMP/probesmoke.json"
 PIPE="$TMP/probesmoke-pipetrace.txt"
 ASM="$TMP/probesmoke.s"
+BASEOUT="$TMP/probesmoke-base.json"
 
 # One cell: compress/general, 200 warm-up + 1000 measured instructions —
 # the same window the other smokes use.
@@ -97,11 +99,11 @@ if [ "$(digest_row <"$PIPE")" != "$LIVE" ]; then
   exit 1
 fi
 
-# -machine clustered on two clusters is general's own machine: the same
-# job, so the same digest.
-OVERRIDE=$("$SIM" -bench compress -scheme general -warmup "$WARMUP" -measure "$MEASURE" -machine clustered | digest_row)
-if [ "$OVERRIDE" != "$LIVE" ]; then
-  echo "probe smoke: -machine clustered digest differs from the default run (default=$LIVE override=$OVERRIDE)" >&2
+# The base machine is reached by its scheme; its digest is checked against
+# dcaserve's below.
+BASE=$("$SIM" -bench compress -scheme base -warmup "$WARMUP" -measure "$MEASURE" | digest_row)
+if [ -z "$BASE" ]; then
+  echo "probe smoke: dcasim -scheme base printed no result digest" >&2
   exit 1
 fi
 
@@ -156,5 +158,14 @@ curl -fsS "http://$ADDR/metrics" | grep -q '^dcaserve_probe_runs_total 1$' || {
   echo "probe smoke: /metrics does not count the probed run" >&2
   exit 1
 }
+
+# dcasim -scheme base and dcaserve's base cell are one job: one digest.
+curl -fsS -X POST "http://$ADDR/v1/jobs" \
+  -d "{\"scheme\":\"base\",\"benchmark\":\"compress\",\"warmup\":$WARMUP,\"measure\":$MEASURE}" >"$BASEOUT"
+SERVEDBASE=$(sed -n 's/.*"result_digest": "\([0-9a-f]\{64\}\)".*/\1/p' "$BASEOUT" | head -1)
+if [ "$SERVEDBASE" != "$BASE" ]; then
+  echo "probe smoke: base cell digest differs between dcasim and dcaserve (dcasim=$BASE served=$SERVEDBASE)" >&2
+  exit 1
+fi
 
 echo "probe smoke OK (digest $LIVE, $CYCLES cycles attributed)"

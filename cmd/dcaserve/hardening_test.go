@@ -154,6 +154,70 @@ func TestHostileParamsRejected(t *testing.T) {
 	}
 }
 
+// panicRunner panics on one benchmark and simulates every other.
+type panicRunner struct{ bench string }
+
+func (p panicRunner) Run(ctx context.Context, j job.Job) (*stats.Run, error) {
+	if j.Benchmark == p.bench {
+		panic("injected simulation panic")
+	}
+	return job.Direct{}.Run(ctx, j)
+}
+
+// TestPanickingSimulationFailsItsRequest: a simulation that panics fails
+// its own request and nothing else. On a one-slot server /v1/jobs answers
+// 500; the same spec sent again answers at once, so its coalescing key was
+// released; a valid job then gets its 200, so the slot was released; a
+// grid that reaches the panic ends its stream with an error event; and
+// /healthz still answers.
+func TestPanickingSimulationFailsItsRequest(t *testing.T) {
+	srv := newServer(store.NewMemory(0), panicRunner{bench: "compress"}, 1, queue.Options{}, limits{})
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", path, body, err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", path, body, err)
+		}
+		return resp.StatusCode, raw
+	}
+	bad := `{"scheme":"modulo","benchmark":"compress","warmup":0,"measure":500}`
+	for _, attempt := range []string{"first", "repeated"} {
+		if code, raw := post("/v1/jobs", bad); code != http.StatusInternalServerError || !strings.Contains(string(raw), "injected simulation panic") {
+			t.Errorf("%s panicking job: status %d, body %s; want a 500 carrying the panic", attempt, code, raw)
+		}
+	}
+	if code, raw := post("/v1/jobs", tinySpec); code != http.StatusOK {
+		t.Errorf("valid job after the panics: status %d, body %s; want 200", code, raw)
+	}
+	code, raw := post("/v1/grids", `{"schemes":["modulo"],"benchmarks":["compress"],"warmup":0,"measure":500}`)
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var last gridEvent
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || code != http.StatusOK || last.Type != "error" {
+		t.Errorf("grid over the panic: status %d, last event %q (%v); want the stream to end with an error event", code, lines[len(lines)-1], err)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after the panics: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the panics: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestLeaseRejectsNonPositiveMaxJobs: a zero or negative batch would
 // long-poll to return nothing by construction — it must 400 immediately,
 // while an over-large batch is capped, not refused.

@@ -118,7 +118,7 @@ func drainQueue(t *testing.T, ts *httptest.Server, timeout time.Duration) queue.
 
 // TestQueueGoldenGridEndToEnd is the distributed-correctness lock (the
 // PR's acceptance test): the full golden grid — every scheme plus both
-// pseudo-machines × two benchmarks — is enqueued once, enqueued AGAIN as
+// pseudo-schemes × two benchmarks — is enqueued once, enqueued AGAIN as
 // a duplicate, and drained by two concurrent worker fleets over real
 // HTTP. Every result must be byte-identical (same ResultDigest) to the
 // in-process engine's, and the duplicate submission must not cost a

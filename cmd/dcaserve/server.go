@@ -303,36 +303,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, r.Context().Err())
 		return
 	}
-	var (
-		run    *stats.Run
-		rep    *probe.Report
-		cached bool
-	)
-	if sub.Probe {
-		// A probed submission always simulates — attribution needs a live
-		// machine, and the store holds results only. The result is
-		// bit-identical to an unprobed run's (the probe layer's passivity
-		// contract), so it feeds the digest-addressed store exactly like a
-		// cache miss would; attribution rides the response and is never
-		// stored.
-		run, rep, err = job.RunWithAttribution(r.Context(), j)
-		if err == nil {
-			s.metrics.probeRuns.Inc()
-			for _, b := range rep.Buckets {
-				if b.Cycles > 0 {
-					s.metrics.probeStallCycles.With(b.Class).Add(float64(b.Cycles))
-				}
-			}
-			if perr := s.st.Put(j.Key(), run); perr != nil {
-				logf("dcaserve: store probed result %s: %v", j.Key(), perr)
-			}
-		}
-	} else {
-		var outcome store.Outcome
-		run, outcome, err = s.runner.RunWithOutcome(r.Context(), j)
-		cached = outcome == store.OutcomeHit
-	}
-	<-s.sem
+	run, rep, cached, err := s.simulate(r.Context(), j, sub.Probe)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -345,6 +316,38 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		ResultDigest: job.ResultDigest(run),
 		Attribution:  rep,
 	})
+}
+
+// simulate runs a /v1/jobs cell in the simulation slot handleJob took and
+// gives the slot back on every path, before handleJob writes the response.
+// A panicking simulation reaches it as an error (flight.Group.Do and
+// job.RunRecovered recover it), so the request gets a 500.
+func (s *server) simulate(ctx context.Context, j job.Job, probed bool) (*stats.Run, *probe.Report, bool, error) {
+	defer func() { <-s.sem }()
+	if !probed {
+		run, outcome, err := s.runner.RunWithOutcome(ctx, j)
+		return run, nil, outcome == store.OutcomeHit, err
+	}
+	// A probed submission always simulates — attribution needs a live
+	// machine, and the store holds results only. The result is
+	// bit-identical to an unprobed run's (the probe layer's passivity
+	// contract), so it feeds the digest-addressed store exactly like a
+	// cache miss would; attribution rides the response and is never
+	// stored.
+	run, rep, err := job.RunWithAttribution(ctx, j)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	s.metrics.probeRuns.Inc()
+	for _, b := range rep.Buckets {
+		if b.Cycles > 0 {
+			s.metrics.probeStallCycles.With(b.Class).Add(float64(b.Cycles))
+		}
+	}
+	if perr := s.st.Put(j.Key(), run); perr != nil {
+		logf("dcaserve: store probed result %s: %v", j.Key(), perr)
+	}
+	return run, rep, false, nil
 }
 
 // gridEvent is one NDJSON line of a /v1/grids response: progress events

@@ -3,16 +3,18 @@
 //
 // Every run is a job of the run layer (internal/job), printed with its
 // content digest: a named workload on its scheme's machine is the grid
-// cell cmd/dcaserve would cache and serve under the same key. -machine
-// overrides the job's machine, -program runs an assembly file in place of
-// the named workload, -replay fetches the oracle stream from a recording,
-// and -pipetrace, -attrib and -konata are probes on the job's machine.
+// cell cmd/dcaserve would cache and serve under the same key. The scheme
+// picks the machine: base and ub name the reference machines, fifo the
+// FIFO-queue machine, and -clusters sizes the clustered ones. -program
+// runs an assembly file in place of the named workload, -replay fetches
+// the oracle stream from a recording, and -pipetrace, -attrib and -konata
+// are probes on the job's machine.
 //
 // Usage:
 //
 //	dcasim -bench compress -scheme general
 //	dcasim -bench go -scheme fifo            # FIFO queues implied
-//	dcasim -bench li -machine base           # the conventional baseline
+//	dcasim -bench li -scheme base            # the conventional baseline
 //	dcasim -bench go -clusters 4             # a 4-cluster symmetric machine
 //	dcasim -program prog.s -scheme general   # assemble and run a file
 //	dcasim -bench go -pipetrace 5000         # pipeline trace from cycle 5000
@@ -32,7 +34,6 @@ import (
 	"sort"
 
 	"repro/internal/asm"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/probe"
@@ -48,7 +49,6 @@ func main() {
 		bench      = flag.String("bench", "compress", "workload name (see -list)")
 		file       = flag.String("program", "", "assembly file to run instead of a named workload")
 		scheme     = flag.String("scheme", "general", "steering scheme (see -list)")
-		machine    = flag.String("machine", "", "machine override: base | clustered | fifo | ub")
 		clusters   = flag.Int("clusters", 2, "cluster count (2 = the paper's asymmetric machine, else config.ClusteredN)")
 		warmup     = flag.Uint64("warmup", 100_000, "warm-up instructions")
 		measure    = flag.Uint64("measure", 1_000_000, "measured instructions (0 = run to halt)")
@@ -91,12 +91,12 @@ func main() {
 		return
 	}
 
-	j, err := planJob(*scheme, *bench, *machine, *clusters, *warmup, *measure)
-	if err != nil {
-		fatal(err)
-	}
+	j := planJob(*scheme, *bench, *clusters, *warmup, *measure)
 	key := j.Key()
-	var p *prog.Program
+	var (
+		p   *prog.Program
+		err error
+	)
 	if *file != "" {
 		// An assembly file is not a named workload: its job key would not
 		// identify the program, so none is printed.
@@ -224,7 +224,7 @@ func main() {
 // simulates or observes. -disagree runs its own grid — -bench under every
 // scheme on the -clusters machine — so it would ignore them.
 var disagreeExcludes = []string{
-	"program", "replay", "machine", "scheme",
+	"program", "replay", "scheme",
 	"pipetrace", "attrib", "konata", "konata-from", "konata-to",
 }
 
@@ -263,53 +263,20 @@ func runDisagree(bench string, clusters int, warmup, measure uint64) error {
 	return nil
 }
 
-// planJob builds the run's job. Without -machine it is exactly the
-// canonical cell job.Spec plans (the scheme's machine, default balance
-// parameters sized to it; none for the pseudo-schemes), so its key is the
-// one cmd/dcaserve serves; -machine swaps in a preset. It is built here
-// rather than through Spec.Plan because dcasim also runs what a servable
-// job may not carry: -measure 0 (run to halt) and -program files.
-func planJob(scheme, bench, machine string, clusters int, warmup, measure uint64) (job.Job, error) {
-	cfg, err := machineConfig(machine, scheme, clusters)
-	if err != nil {
-		return job.Job{}, err
-	}
+// planJob builds the run's job: exactly the canonical cell job.Spec plans
+// (the scheme's machine, default balance parameters sized to it; none for
+// the pseudo-schemes), so its key is the one cmd/dcaserve serves. It is
+// built here rather than through Spec.Plan because dcasim also runs what
+// a servable job may not carry: -measure 0 (run to halt) and -program
+// files.
+func planJob(scheme, bench string, clusters int, warmup, measure uint64) job.Job {
+	cfg := job.ConfigFor(scheme, clusters)
 	j := job.Job{Config: cfg, Scheme: scheme, Benchmark: bench, Warmup: warmup, Measure: measure}
 	if scheme != job.BaseScheme && scheme != job.UBScheme {
 		j.Params = steer.DefaultParams()
 		j.Params.Clusters = cfg.NumClusters()
 	}
-	return j, nil
-}
-
-// machineConfig resolves -machine: "" is the scheme's own machine
-// (job.ConfigFor); the others name a preset, the clustered ones sized by
-// -clusters.
-func machineConfig(machine, scheme string, clusters int) (*config.Config, error) {
-	if machine == "" {
-		return job.ConfigFor(scheme, clusters), nil
-	}
-	if clusters != 2 {
-		switch machine {
-		case "clustered":
-			return config.ClusteredN(clusters), nil
-		case "fifo":
-			return config.ClusteredNFIFO(clusters), nil
-		case "base", "ub":
-			return nil, fmt.Errorf("-clusters only applies to the clustered machines, not %q", machine)
-		}
-	}
-	switch machine {
-	case "base":
-		return config.Base(), nil
-	case "clustered":
-		return config.Clustered(), nil
-	case "fifo":
-		return config.FIFOClustered(), nil
-	case "ub":
-		return config.UpperBound(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q", machine)
+	return j
 }
 
 // assemble reads and assembles an assembly file, named after its base name.

@@ -8,9 +8,8 @@ import (
 	"repro/internal/job"
 )
 
-// TestPlanJobIsTheCanonicalCell: without -machine, dcasim's job is the one
-// job.Spec plans, so the key it prints is the one cmd/dcaserve serves; and
-// -machine clustered on two clusters is general's own machine.
+// TestPlanJobIsTheCanonicalCell: dcasim's job is the one job.Spec plans,
+// so the key it prints is the one cmd/dcaserve serves.
 func TestPlanJobIsTheCanonicalCell(t *testing.T) {
 	for _, scheme := range []string{"general", "fifo", job.BaseScheme, job.UBScheme} {
 		for _, clusters := range []int{2, 4} {
@@ -18,22 +17,10 @@ func TestPlanJobIsTheCanonicalCell(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := planJob(scheme, "go", "", clusters, 10, 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Key() != want.Key() {
+			if got := planJob(scheme, "go", clusters, 10, 20); got.Key() != want.Key() {
 				t.Errorf("%s on %d clusters: dcasim plans %+v, job.Spec %+v", scheme, clusters, got, want)
 			}
 		}
-	}
-	def, _ := planJob("general", "go", "", 2, 10, 20)
-	override, err := planJob("general", "go", "clustered", 2, 10, 20)
-	if err != nil || override.Key() != def.Key() {
-		t.Errorf("-machine clustered is not the default general job (%v)", err)
-	}
-	if _, err := planJob("general", "go", "base", 4, 10, 20); err == nil {
-		t.Error("-machine base accepted a cluster count")
 	}
 }
 
@@ -49,7 +36,6 @@ func TestCheckDisagree(t *testing.T) {
 		{[]string{"bench", "clusters", "warmup", "measure", "disagree"}, ""},
 		{[]string{"disagree", "program"}, "program"},
 		{[]string{"bench", "disagree", "replay"}, "replay"},
-		{[]string{"disagree", "machine"}, "machine"},
 		{[]string{"disagree", "scheme"}, "scheme"},
 		{[]string{"disagree", "pipetrace"}, "pipetrace"},
 		{[]string{"attrib", "disagree"}, "attrib"},

@@ -71,9 +71,9 @@ func (q *issueQueue) Len() int { return q.count }
 func (q *issueQueue) Free() int { return q.capacity - q.count }
 
 // Add inserts a dispatched instruction. In FIFO mode the caller must have
-// chosen d.fifo via ChooseFIFO beforehand; copies bypass the FIFOs (they
-// wait only for their source value and a bus, in the copy buffer at the
-// cluster's bus interface).
+// chosen d.fifo (Machine.fifoSlot) beforehand; copies bypass the FIFOs
+// (they wait only for their source value and a bus, in the copy buffer at
+// the cluster's bus interface).
 //
 //dca:hotpath
 func (q *issueQueue) Add(d *DynInst) {
@@ -111,51 +111,6 @@ func (q *issueQueue) Add(d *DynInst) {
 	if q.mode == config.IQFIFO && !d.IsCopy {
 		q.fifos[d.fifo] = append(q.fifos[d.fifo], d)
 	}
-}
-
-// FIFOTail returns the newest instruction in FIFO f, or nil when empty.
-//
-//dca:hotpath
-func (q *issueQueue) FIFOTail(f int) *DynInst {
-	fifo := q.fifos[f]
-	if len(fifo) == 0 {
-		return nil
-	}
-	return fifo[len(fifo)-1]
-}
-
-// ChooseFIFO implements the dependence-chain heuristic: prefer a FIFO whose
-// tail produced one of d's source operands (so the chain stays in order),
-// otherwise any empty FIFO. ok is false when neither exists (dispatch must
-// stall, as in the original proposal).
-//
-//dca:hotpath
-func (q *issueQueue) ChooseFIFO(d *DynInst) (int, bool) {
-	for f := range q.fifos {
-		tail := q.FIFOTail(f)
-		if tail == nil || tail.destPhys == noPhys || len(q.fifos[f]) >= q.fifoDepth {
-			continue
-		}
-		for i := 0; i < d.numSrcs; i++ {
-			if d.srcPhys[i] == tail.destPhys && !d.srcReady[i] {
-				return f, true
-			}
-		}
-	}
-	for f := range q.fifos {
-		if len(q.fifos[f]) == 0 {
-			return f, true
-		}
-	}
-	return 0, false
-}
-
-// HasFIFOSlot reports whether any FIFO can accept an instruction.
-//
-//dca:hotpath
-func (q *issueQueue) HasFIFOSlot(d *DynInst) bool {
-	_, ok := q.ChooseFIFO(d)
-	return ok
 }
 
 // ReadyCount returns the number of waiting instructions whose sources are

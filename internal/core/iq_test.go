@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/emu"
+	"repro/internal/isa"
 )
 
 func ooQueue() *issueQueue {
@@ -139,36 +141,90 @@ func TestStoreIssueReadyOnAddressAlone(t *testing.T) {
 	}
 }
 
+// fifoMachine builds a machine on cfg over a program whose first
+// instruction reads r1 and r2, and returns it with that instruction as
+// fetched. Nothing has dispatched yet, so every FIFO is empty.
+func fifoMachine(t *testing.T, cfg *config.Config) (*Machine, *fetched) {
+	t.Helper()
+	p := mustProg(t, "  add r3, r1, r2\n  halt\n")
+	m, err := New(cfg, p, NaiveSteerer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, &fetched{step: emu.Step{PC: 0, Inst: p.Text[0]}}
+}
+
+// occupy appends a waiting instruction to FIFO f of cluster c. Given a
+// destination register, it is that register's pending producer in c, as
+// dispatch leaves one; otherwise it produces nothing.
+func occupy(t *testing.T, m *Machine, c ClusterID, f int, dst ...isa.Reg) *DynInst {
+	t.Helper()
+	d := &DynInst{Seq: m.seq, destPhys: noPhys, state: stateWaiting, Cluster: c, fifo: f}
+	m.seq++
+	for _, r := range dst {
+		p, ok := m.files[c].Alloc()
+		if !ok {
+			t.Fatalf("cluster %d register file exhausted", c)
+		}
+		d.destPhys, d.destLogical = p, r
+		d.prevMask = m.rt.redefine(r, c, p, &d.prevMapping)
+	}
+	m.iqs[c].Add(d)
+	return d
+}
+
+// TestFIFOChooseByDependenceChain: an instruction whose pending source is
+// produced by a FIFO's tail joins that FIFO, in whichever cluster it is.
+// Once the value is ready there is no chain to follow, and it takes an
+// empty FIFO instead.
 func TestFIFOChooseByDependenceChain(t *testing.T) {
-	q := fifoQueue()
-	producer := mkInst(1, 7)
-	f, ok := q.ChooseFIFO(producer)
-	if !ok {
-		t.Fatal("no FIFO for first instruction")
+	m, fi := fifoMachine(t, config.FIFOClustered())
+	occupy(t, m, 0, 0, isa.R(9)) // a tail the instruction does not read
+	producer := occupy(t, m, 1, 3, isa.R(1))
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 1 || f != 3 {
+		t.Fatalf("consumer placed in cluster %d FIFO %d, want the producer's (1, 3)", c, f)
 	}
-	producer.fifo = f
-	q.Add(producer)
-
-	consumer := mkInst(2, 8, 7)
-	cf, ok := q.ChooseFIFO(consumer)
-	if !ok || cf != f {
-		t.Fatalf("consumer chose FIFO %d,%v want producer's %d", cf, ok, f)
+	m.files[1].SetReady(producer.destPhys)
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 0 || f != 1 {
+		t.Fatalf("ready-source instruction placed in cluster %d FIFO %d, want an empty FIFO (0, 1)", c, f)
 	}
+}
 
-	// A ready-source instruction prefers an empty FIFO.
-	indep := mkInst(3, 9, 7)
-	indep.srcReady[0] = true
-	inf, ok := q.ChooseFIFO(indep)
-	if !ok || inf == f {
-		t.Fatalf("independent instruction chose the chain FIFO %d", inf)
+// TestFIFOSlotAcrossClusters pins how FIFO mode picks the cluster with
+// the FIFO: the cluster with the most empty FIFOs wins, the lowest index
+// wins a tie, a chain beats emptiness, and a forced cluster restricts the
+// choice even away from the chain.
+func TestFIFOSlotAcrossClusters(t *testing.T) {
+	m, fi := fifoMachine(t, config.ClusteredNFIFO(4))
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 0 || f != 0 {
+		t.Fatalf("empty machine: cluster %d FIFO %d, want (0, 0)", c, f)
+	}
+	occupy(t, m, 0, 0)
+	occupy(t, m, 1, 0)
+	occupy(t, m, 1, 1)
+	occupy(t, m, 3, 2)
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 2 || f != 0 {
+		t.Fatalf("most empty FIFOs: cluster %d FIFO %d, want (2, 0)", c, f)
+	}
+	occupy(t, m, 2, 0)
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 0 || f != 1 {
+		t.Fatalf("three-way tie: cluster %d FIFO %d, want the lowest index (0, 1)", c, f)
+	}
+	occupy(t, m, 3, 5, isa.R(2))
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 3 || f != 5 {
+		t.Fatalf("chain in cluster 3: cluster %d FIFO %d, want (3, 5)", c, f)
+	}
+	if c, f := m.fifoSlot(fi, 1); c != 1 || f != 2 {
+		t.Fatalf("forced to cluster 1: cluster %d FIFO %d, want (1, 2)", c, f)
 	}
 }
 
 func TestFIFOOnlyHeadsIssue(t *testing.T) {
-	q := fifoQueue()
+	m, fi := fifoMachine(t, config.FIFOClustered())
+	c, f := m.fifoSlot(fi, AnyCluster)
+	q := &m.iqs[c]
 	head := mkInst(1, 7)
 	head.srcReady = [2]bool{true, true}
-	f, _ := q.ChooseFIFO(head)
 	head.fifo = f
 	q.Add(head)
 	second := mkInst(2, 8)
@@ -207,21 +263,27 @@ func TestFIFOCopiesBypassFIFOs(t *testing.T) {
 	}
 }
 
+// TestFIFOStallsWhenFull: a FIFO at its depth takes nothing more, even
+// when its tail produces a pending source, and with no allowed FIFO empty
+// fifoSlot answers -1, so dispatch stalls.
 func TestFIFOStallsWhenFull(t *testing.T) {
-	cl := config.Clustered().Clusters[0]
-	cl.FIFOs, cl.FIFODepth = 2, 1
-	q := newIssueQueue(cl, config.IQFIFO)
-	for seq := uint64(1); seq <= 2; seq++ {
-		d := mkInst(seq, physReg(seq))
-		f, ok := q.ChooseFIFO(d)
-		if !ok {
-			t.Fatalf("no slot for instruction %d", seq)
-		}
-		d.fifo = f
-		q.Add(d)
+	cfg := config.FIFOClustered()
+	for c := range cfg.Clusters {
+		cfg.Clusters[c].FIFOs, cfg.Clusters[c].FIFODepth = 2, 1
 	}
-	if _, ok := q.ChooseFIFO(mkInst(3, 9)); ok {
-		t.Fatal("ChooseFIFO succeeded on full FIFOs")
+	m, fi := fifoMachine(t, cfg)
+	occupy(t, m, 0, 0, isa.R(1))
+	occupy(t, m, 0, 1)
+	occupy(t, m, 1, 0)
+	if c, f := m.fifoSlot(fi, AnyCluster); c != 1 || f != 1 {
+		t.Fatalf("cluster %d FIFO %d, want the last empty one (1, 1)", c, f)
+	}
+	if _, f := m.fifoSlot(fi, 0); f != -1 {
+		t.Fatalf("forced to a full cluster: FIFO %d, want -1", f)
+	}
+	occupy(t, m, 1, 1)
+	if _, f := m.fifoSlot(fi, AnyCluster); f != -1 {
+		t.Fatalf("every FIFO full: FIFO %d, want -1", f)
 	}
 }
 

@@ -805,55 +805,50 @@ func (m *Machine) capableClusters(op isa.Opcode) ClusterSet {
 	return s
 }
 
-// fifoCluster implements the joint cluster+FIFO half of the
-// Palacharla/Jouppi/Smith heuristic: prefer a cluster holding a FIFO whose
-// tail is the producer of one of the instruction's pending sources (the
-// dependence chain continues in order there); otherwise take the allowed
-// cluster with the most empty FIFOs, falling back to the policy's choice.
+// fifoSlot is FIFO mode's placement, the Palacharla/Jouppi/Smith
+// heuristic, in which the choice of FIFO is the placement and with it the
+// cluster. The allowed clusters are forced alone, or all of them. It takes
+// the first FIFO, scanning the allowed clusters in index order, whose tail
+// produces one of the instruction's pending sources, so the dependence
+// chain continues in order there. Otherwise it takes the first empty FIFO
+// of the allowed cluster with the most empty FIFOs, ties to the lowest
+// index; fifo is -1 when none is empty, and dispatch stalls.
 //
 //dca:hotpath
-func (m *Machine) fifoCluster(fi *fetched, forced, fallback ClusterID) ClusterID {
-	var allowed [config.MaxClusters]ClusterID
-	n := 0
+func (m *Machine) fifoSlot(fi *fetched, forced ClusterID) (cluster ClusterID, fifo int) {
+	lo, hi := ClusterID(0), ClusterID(m.cfg.NumClusters())
 	if forced != AnyCluster {
-		allowed[0], n = forced, 1
-	} else {
-		for c := 0; c < m.cfg.NumClusters(); c++ {
-			allowed[n] = ClusterID(c)
-			n++
-		}
+		lo, hi = forced, forced+1
 	}
 	dec := &m.decoded[fi.step.PC]
-	srcs := dec.srcs[:dec.nsrc]
-	for i := 0; i < n; i++ {
-		c := allowed[i]
+	cluster, fifo = lo, -1
+	mostEmpty := -1
+	for c := lo; c < hi; c++ {
 		q := &m.iqs[c]
-		for f := range q.fifos {
-			tail := q.FIFOTail(f)
-			if tail == nil || tail.destPhys == noPhys || len(q.fifos[f]) >= q.fifoDepth {
+		empty, first := 0, -1
+		for f, entries := range q.fifos {
+			if len(entries) == 0 {
+				if first < 0 {
+					first = f
+				}
+				empty++
 				continue
 			}
-			for _, r := range srcs {
-				if p, ok := m.rt.lookup(r, c); ok && p == tail.destPhys && !m.files[c].Ready(p) {
-					return c
+			tail := entries[len(entries)-1].destPhys
+			if len(entries) >= q.fifoDepth || tail == noPhys {
+				continue
+			}
+			for _, r := range dec.srcs[:dec.nsrc] {
+				if p, ok := m.rt.lookup(r, c); ok && p == tail && !m.files[c].Ready(p) {
+					return c, f
 				}
 			}
 		}
-	}
-	best, bestEmpty := fallback, -1
-	for i := 0; i < n; i++ {
-		c := allowed[i]
-		empties := 0
-		for f := range m.iqs[c].fifos {
-			if len(m.iqs[c].fifos[f]) == 0 {
-				empties++
-			}
-		}
-		if empties > bestEmpty {
-			bestEmpty, best = empties, c
+		if empty > mostEmpty {
+			cluster, fifo, mostEmpty = c, first, empty
 		}
 	}
-	return best
+	return cluster, fifo
 }
 
 // copyPlan describes one inter-cluster copy to insert for a source operand.
@@ -865,20 +860,26 @@ type copyPlan struct {
 }
 
 // resolveTarget maps an already-steered front instruction to its final
-// placement and names the mechanism that decided it: out-of-range policy
-// answers clamp to the integer cluster, the capability safety net moves
-// operations to a cluster that can execute them (a policy on a partially
-// symmetric machine could otherwise deadlock an FP multiply in a cluster
-// with only FP adders; the nearest capable cluster, by copy distance with
-// ties to the lowest index, takes over), and in FIFO mode the joint
-// cluster+FIFO heuristic of Palacharla/Jouppi/Smith runs with the policy's
-// choice as tie-break. It is pure: the steering probe shares it with
-// dispatch.
+// placement and names the mechanism that decided it. In FIFO mode that is
+// fifoSlot's cluster and FIFO; the policy's answer is not read. On a
+// window machine (fifo 0) out-of-range policy answers clamp to the integer
+// cluster, and the capability safety net moves operations to a cluster
+// that can execute them (a policy on a partially symmetric machine could
+// otherwise deadlock an FP multiply in a cluster with only FP adders; the
+// nearest capable cluster, by copy distance with ties to the lowest index,
+// takes over). It is pure: the steering probe shares it with dispatch.
 //
 //dca:hotpath
-func (m *Machine) resolveTarget(fi *fetched) (ClusterID, SteerReason) {
-	in := fi.step.Inst
+func (m *Machine) resolveTarget(fi *fetched) (ClusterID, int, SteerReason) {
 	forced := m.decoded[fi.step.PC].forced
+	if m.cfg.Mode == config.IQFIFO {
+		c, f := m.fifoSlot(fi, forced)
+		if forced != AnyCluster {
+			return c, f, ReasonForced
+		}
+		return c, f, ReasonFIFO
+	}
+	in := fi.step.Inst
 	target, reason := fi.target, ReasonPolicy
 	if forced != AnyCluster {
 		reason = ReasonForced
@@ -891,12 +892,7 @@ func (m *Machine) resolveTarget(fi *fetched) (ClusterID, SteerReason) {
 			target, reason = c, ReasonCapability
 		}
 	}
-	if m.cfg.Mode == config.IQFIFO {
-		if f := m.fifoCluster(fi, forced, target); f != target {
-			target, reason = f, ReasonFIFO
-		}
-	}
-	return target, reason
+	return target, 0, reason
 }
 
 // planCopies computes the inter-cluster copies that placing fi on target
@@ -996,7 +992,7 @@ func (m *Machine) dispatch() error {
 			fi.target = target
 			m.probeSteered(fi, forced, policy)
 		}
-		target, _ := m.resolveTarget(fi)
+		target, fifo, _ := m.resolveTarget(fi)
 
 		// Plan the copies this placement requires.
 		plans, nPlans, err := m.planCopies(fi, target)
@@ -1041,16 +1037,16 @@ func (m *Machine) dispatch() error {
 			d.srcReady[i] = m.files[target].Ready(p)
 		}
 		d.numSrcs = dec.nsrc
-		// FIFO placement is decided before the destination rename so a
-		// stall here leaves the map table untouched.
-		if m.cfg.Mode == config.IQFIFO {
-			f, ok := m.iqs[target].ChooseFIFO(d)
-			if !ok {
-				m.freeDyn(d)
-				return nil
-			}
-			d.fifo = f
+		// No free FIFO: stall, leaving the copies in flight. The FIFO was
+		// chosen before they were inserted, and they cannot change it:
+		// copies wait in their source clusters' copy buffers, never in a
+		// FIFO, and a source renamed through one reads a fresh register
+		// that no FIFO tail produces.
+		if fifo < 0 {
+			m.freeDyn(d)
+			return nil
 		}
+		d.fifo = fifo
 		// Rename destination.
 		if dst, ok := in.Dst(); ok {
 			p, okAlloc := m.files[target].Alloc()

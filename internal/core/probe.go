@@ -102,8 +102,8 @@ type FetchInfo struct {
 	Mispredict bool
 }
 
-// SteerReason classifies how a steering decision's final placement came
-// about.
+// SteerReason names the mechanism that decided a steering decision's final
+// placement: the policy, a window machine's correction of it, or FIFO mode.
 type SteerReason uint8
 
 const (
@@ -118,8 +118,10 @@ const (
 	// ReasonCapability: the capability safety net moved the instruction to
 	// a cluster whose functional units can execute it.
 	ReasonCapability
-	// ReasonFIFO: the Palacharla/Jouppi/Smith cluster+FIFO heuristic
-	// overrode the choice (IQFIFO mode only).
+	// ReasonFIFO: FIFO mode placed an unforced instruction by the
+	// Palacharla/Jouppi/Smith heuristic, which chooses the cluster with
+	// the FIFO. The policy's answer is never read there, so every
+	// unforced decision on a FIFO-mode machine has this reason.
 	ReasonFIFO
 	// NumSteerReasons bounds the enum for counting arrays.
 	NumSteerReasons
@@ -153,9 +155,9 @@ type SteerDecision struct {
 	Inst    isa.Inst
 	// Forced is the datapath constraint (AnyCluster when the policy was
 	// free to choose); Policy is the policy's raw answer; Final is the
-	// placement dispatch will use if it dispatches this cycle (in IQFIFO
-	// mode a structural stall re-runs the FIFO half of the heuristic on a
-	// later attempt, so the eventual slot can differ).
+	// placement dispatch will use if it dispatches this cycle (in FIFO
+	// mode a stall places the instruction afresh on a later attempt, so
+	// the eventual cluster can differ).
 	Forced ClusterID
 	Policy ClusterID
 	Final  ClusterID
@@ -354,7 +356,7 @@ func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
 			dec.IQLen[c] = m.iqs[c].Len()
 			dec.IQFree[c] = m.iqs[c].Free()
 		}
-		dec.Final, dec.Reason = m.resolveTarget(fi)
+		dec.Final, _, dec.Reason = m.resolveTarget(fi)
 		m.probe.Steer(dec)
 	}
 }

@@ -252,10 +252,11 @@ func (clusterSeven) Steer(*core.SteerInfo) core.ClusterID { return 7 }
 // TestSteerDecisionMatchesDispatch locks the probe's SteerDecision to the
 // placement dispatch makes. Each case reaches the reasons it names — the
 // policy's own answer and a datapath constraint on the paper's machine,
-// the FIFO heuristic, the capability safety net on a 4-cluster machine
-// whose cluster 3 lacks the FP mul/div and complex-integer units, and the
-// clamp of an out-of-range answer — and every instruction dispatched in
-// its decision cycle must land on the decision's Final cluster.
+// FIFO mode's own placement, the capability safety net on a 4-cluster
+// machine whose cluster 3 lacks the FP mul/div and complex-integer units,
+// and the clamp of an out-of-range answer — and every instruction
+// dispatched in its decision cycle must land on the decision's Final
+// cluster. A FIFO-mode machine never lets the policy's answer stand.
 func TestSteerDecisionMatchesDispatch(t *testing.T) {
 	noMulDiv := config.ClusteredN(4)
 	noMulDiv.Clusters[3].FPMulDivUnits = 0
@@ -297,6 +298,9 @@ func TestSteerDecisionMatchesDispatch(t *testing.T) {
 				if l.reasons[r] == 0 {
 					t.Errorf("no decision with reason %v (counts %v)", r, l.reasons)
 				}
+			}
+			if n := l.reasons[core.ReasonPolicy]; tc.cfg.Mode == config.IQFIFO && n != 0 {
+				t.Errorf("%d decisions credited to the policy on a FIFO-mode machine", n)
 			}
 			if l.checked == 0 {
 				t.Fatal("no instruction dispatched in its decision cycle")

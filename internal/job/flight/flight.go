@@ -8,6 +8,7 @@ package flight
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 )
@@ -28,16 +29,17 @@ type call[V any] struct {
 }
 
 // Do returns the value for key. The first caller of a key leads: it runs
-// fn in its own goroutine. Callers arriving while fn runs wait for and
-// share its value and error; callers arriving after it finished get the
-// kept value at once. A waiter whose ctx ends returns ctx.Err() while the
-// leader carries on. The leader does not watch ctx: fn decides whether
-// its work honors cancellation.
+// fn itself, in its own caller's goroutine. Callers arriving while fn runs
+// wait for and share its value and error; callers arriving after it
+// finished get the kept value at once. A waiter whose ctx ends returns
+// ctx.Err() while the leader carries on. The leader does not watch ctx:
+// fn decides whether its work honors cancellation.
 //
 // keep bounds the finished values the group retains. A successful value
 // is kept, and once more than keep are held the oldest is dropped; with
 // keep 0 a key is forgotten as soon as its call returns, so Do only
-// coalesces. Errors are shared with waiters but never kept.
+// coalesces. Errors are shared with waiters but never kept; a panic in fn
+// is returned as such an error, and the key is released.
 func (g *Group[V]) Do(ctx context.Context, key string, keep int, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
@@ -57,7 +59,15 @@ func (g *Group[V]) Do(ctx context.Context, key string, keep int, fn func() (V, e
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	// A panic in fn becomes the call's error, so the call still finishes.
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				c.err = fmt.Errorf("flight: computation panicked: %v", p)
+			}
+		}()
+		c.val, c.err = fn()
+	}()
 	g.mu.Lock()
 	if c.err != nil || keep <= 0 {
 		delete(g.calls, key)

@@ -3,6 +3,7 @@ package flight_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,48 @@ func TestDoSharesErrorWithWaiters(t *testing.T) {
 	}
 	if runs.Load() != before+1 {
 		t.Fatal("an error was kept: the retry did not run")
+	}
+}
+
+// TestDoPanicIsAnError: a panic in fn reaches the leader and a waiter as
+// an error, and the key is released, so the next call runs its fn.
+func TestDoPanicIsAnError(t *testing.T) {
+	var g flight.Group[int]
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fn := func() (int, error) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		panic("boom")
+	}
+	lead := make(chan error)
+	go func() {
+		_, err := g.Do(context.Background(), "k", 1, fn)
+		lead <- err
+	}()
+	<-entered
+	wait := make(chan error)
+	go func() {
+		_, err := g.Do(context.Background(), "k", 1, fn)
+		wait <- err
+	}()
+	// As above; a waiter arriving late runs fn itself and panics too.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	for who, ch := range map[string]chan error{"leader": lead, "waiter": wait} {
+		if err := <-ch; err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("%s: %v, want an error carrying the panic", who, err)
+		}
+	}
+	if g.Len() != 0 {
+		t.Fatalf("group holds %d keys after a panic, want 0", g.Len())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if v, err := g.Do(ctx, "k", 1, func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("next call: (%d, %v), want (7, nil)", v, err)
 	}
 }
 

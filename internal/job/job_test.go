@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/stats"
 	"repro/internal/steer"
 	"repro/internal/workload"
@@ -292,4 +293,36 @@ func FuzzSpecPlan(f *testing.F) {
 			t.Fatal("Direct.Run returned neither a result nor an error")
 		}
 	})
+}
+
+// TestSelfPlacingMachinesIgnoreThePolicy: some machines place every
+// instruction themselves. The FIFO-queue machines choose the FIFO, and
+// with it the cluster; the base machine forces every instruction by its
+// datapath; the upper bound has one cluster. There the steering scheme
+// cannot move a result, so these machines need no machine override in
+// dcasim and the fifo scheme needs no heuristic of its own.
+func TestSelfPlacingMachinesIgnoreThePolicy(t *testing.T) {
+	schemes := []string{"general", "modulo", "random", "ldst-slice", "br-priority"}
+	machines := []*config.Config{config.FIFOClustered(), config.ClusteredNFIFO(4), config.Base(), config.UpperBound()}
+	for _, cfg := range machines {
+		for _, bench := range []string{"go", "gcc"} {
+			var first *stats.Run
+			for _, scheme := range schemes {
+				params := steer.DefaultParams()
+				params.Clusters = cfg.NumClusters()
+				j := Job{Config: cfg, Scheme: scheme, Params: params, Benchmark: bench, Warmup: 1_000, Measure: 5_000}
+				r, err := Direct{}.Run(context.Background(), j)
+				if err != nil {
+					t.Fatalf("%s/%s on %s: %v", scheme, bench, cfg.Name, err)
+				}
+				r.Scheme = ""
+				if first == nil {
+					first = r
+				} else if !reflect.DeepEqual(r, first) {
+					t.Errorf("%s on %s: %s gives %d cycles, steered %v; %s gives %d, steered %v",
+						bench, cfg.Name, scheme, r.Cycles, r.Steered, schemes[0], first.Cycles, first.Steered)
+				}
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package job
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -60,9 +61,10 @@ func Workers(parallelism, n int) int {
 }
 
 // RunAll executes the batch on a bounded worker pool (see Workers); the
-// first job error cancels the remaining work and is returned. Results are
-// positionally indexed — runs[i] is jobs[i]'s — so worker scheduling
-// cannot leak into the output.
+// first job error cancels the remaining work and is returned. Each job
+// runs through RunRecovered, so a panicking cell fails the batch, not the
+// process. Results are positionally indexed — runs[i] is jobs[i]'s — so
+// worker scheduling cannot leak into the output.
 func RunAll(ctx context.Context, jobs []Job, opts PoolOptions) ([]*stats.Run, error) {
 	runner := opts.Runner
 	if runner == nil {
@@ -138,7 +140,7 @@ func RunAll(ctx context.Context, jobs []Job, opts PoolOptions) ([]*stats.Run, er
 					continue // drain: the batch is being cancelled
 				}
 				jobStart := time.Now() //dca:allow(determinism: feeds the progress ETA only, never a result or digest)
-				r, err := runner.Run(ctx, jobs[i])
+				r, err := RunRecovered(ctx, runner, jobs[i])
 				if err == nil {
 					runs[i] = r
 				}
@@ -156,4 +158,16 @@ func RunAll(ctx context.Context, jobs []Job, opts PoolOptions) ([]*stats.Run, er
 		return nil, err
 	}
 	return runs, nil
+}
+
+// RunRecovered runs j on runner and returns a panic in the runner as j's
+// error, so one bad cell fails its own batch or request and the process
+// carries on.
+func RunRecovered(ctx context.Context, runner Runner, j Job) (r *stats.Run, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("job: %s on %s panicked: %v", j.Scheme, j.Benchmark, p)
+		}
+	}()
+	return runner.Run(ctx, j)
 }

@@ -3,6 +3,7 @@ package job
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ type stubRunner struct {
 	mu    sync.Mutex
 	calls int
 	fail  map[string]error
+	panic string // a benchmark whose run panics
 }
 
 func (s *stubRunner) Run(_ context.Context, j Job) (*stats.Run, error) {
@@ -23,6 +25,9 @@ func (s *stubRunner) Run(_ context.Context, j Job) (*stats.Run, error) {
 	s.mu.Unlock()
 	if err := s.fail[j.Benchmark]; err != nil {
 		return nil, err
+	}
+	if j.Benchmark == s.panic {
+		panic("stub runner panic")
 	}
 	return &stats.Run{Scheme: j.Scheme, Benchmark: j.Benchmark, Cycles: j.Measure, Instructions: 1}, nil
 }
@@ -64,6 +69,16 @@ func TestRunAllFirstError(t *testing.T) {
 	}
 	if st.calls >= len(jobs) {
 		t.Errorf("all %d jobs ran despite the failure", st.calls)
+	}
+}
+
+// TestRunAllPanicIsAnError: a runner that panics fails the batch with an
+// error, and the process lives on.
+func TestRunAllPanicIsAnError(t *testing.T) {
+	jobs := testJobs(t, "go", "gcc", "compress")
+	_, err := RunAll(context.Background(), jobs, PoolOptions{Parallelism: 2, Runner: &stubRunner{panic: "gcc"}})
+	if err == nil || !strings.Contains(err.Error(), "stub runner panic") {
+		t.Fatalf("err = %v, want the panic as an error", err)
 	}
 }
 

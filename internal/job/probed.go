@@ -13,14 +13,15 @@ import (
 // RunWithAttribution runs the job with a cycle-attribution probe attached
 // and returns the measurement record alongside its stall-taxonomy report.
 // The report rides next to the result, never inside it: the run and its
-// digest are bit-identical to an unprobed run's.
+// digest are bit-identical to an unprobed run's. A panic in the run is
+// returned as its error (RunRecovered).
 func RunWithAttribution(ctx context.Context, j Job) (*stats.Run, *probe.Report, error) {
 	var a *probe.Attribution
 	ctx = WithProbe(ctx, func() core.Probe {
 		a = probe.NewAttribution()
 		return a
 	})
-	r, err := Direct{}.Run(ctx, j)
+	r, err := RunRecovered(ctx, Direct{}, j)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,9 +33,10 @@ func ValidateClusters(clusters int) error {
 	return nil
 }
 
-// ValidateMeasure rejects empty measurement windows: a zero-measure job
-// would still plan, digest and cache, poisoning the store with a record
-// of nothing.
+// ValidateMeasure rejects a zero measurement window. Measure 0 means "run
+// to HALT" (RunProgram), and the named workloads are endless loops, so a
+// planned job with it would simulate without bound. dcasim builds its job
+// without this check, for -program files that do halt.
 func ValidateMeasure(measure uint64) error {
 	if measure == 0 {
 		return fmt.Errorf("job: measure must be positive")

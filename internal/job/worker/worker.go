@@ -64,9 +64,9 @@ type Options struct {
 // Metrics counts a fleet's work across all loops.
 type Metrics struct {
 	// Completed counts successful uploads; Failed counts jobs whose
-	// simulation errored (reported to the server as nacks); Lost counts
-	// uploads or heartbeats the server refused because the lease had
-	// expired (the job requeued; another worker owns it now).
+	// simulation errored or panicked (reported to the server as nacks);
+	// Lost counts uploads or heartbeats the server refused because the
+	// lease had expired (the job requeued; another worker owns it now).
 	Completed uint64
 	Failed    uint64
 	Lost      uint64
@@ -206,11 +206,12 @@ func (f *Fleet) runLoop(ctx context.Context, loop int) {
 }
 
 // work simulates one leased job and settles its lease (the caller keeps
-// the lease heartbeating until work returns).
+// the lease heartbeating until work returns). A simulation that errors or
+// panics is nacked, and the loop goes on.
 func (f *Fleet) work(ctx context.Context, loop int, l queue.Lease) {
 	// The simulation itself is not interruptible (and a drain must finish
 	// it anyway), so it runs detached from ctx.
-	r, err := f.opts.Runner.Run(context.WithoutCancel(ctx), l.Job)
+	r, err := job.RunRecovered(context.WithoutCancel(ctx), f.opts.Runner, l.Job)
 	if err != nil {
 		f.failed.Add(1)
 		f.opts.Logf("worker[%d]: %s/%s: %v", loop, l.Job.Scheme, l.Job.Benchmark, err)

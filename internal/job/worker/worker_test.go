@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,42 +220,61 @@ func TestWorkerHeartbeatsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestWorkerNacksFailures checks a simulation error is reported as a nack
-// under the lease, not silently dropped.
+// TestWorkerNacksFailures checks a simulation that errors or panics is
+// reported as a nack under the lease, not silently dropped, and that the
+// loop goes on to complete the next lease.
 func TestWorkerNacksFailures(t *testing.T) {
-	stub := newStubServer()
-	ts := httptest.NewServer(stub.handler())
-	defer ts.Close()
-	stub.addLease(t, "lease-1", time.Minute)
+	for _, tc := range []struct {
+		name, reason string
+		fail         func() error
+	}{
+		{"error", "injected failure", func() error { return fmt.Errorf("injected failure") }},
+		{"panic", "job: modulo on go panicked: injected panic", func() error { panic("injected panic") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := newStubServer()
+			ts := httptest.NewServer(stub.handler())
+			defer ts.Close()
+			stub.addLease(t, "lease-1", time.Minute)
+			stub.addLease(t, "lease-2", time.Minute)
 
-	f, err := New(Options{
-		Server: ts.URL,
-		Loops:  1,
-		Wait:   50 * time.Millisecond,
-		Runner: runnerFunc(func(ctx context.Context, j job.Job) (*stats.Run, error) {
-			return nil, fmt.Errorf("injected failure")
-		}),
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := start(t, f)
+			var calls atomic.Int64
+			f, err := New(Options{
+				Server: ts.URL,
+				Loops:  1,
+				Wait:   50 * time.Millisecond,
+				Runner: runnerFunc(func(ctx context.Context, j job.Job) (*stats.Run, error) {
+					if calls.Add(1) == 1 {
+						return nil, tc.fail()
+					}
+					return job.Direct{}.Run(ctx, j)
+				}),
+				Logf: t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := start(t, f)
 
-	waitFor(t, 5*time.Second, func() bool {
-		stub.mu.Lock()
-		defer stub.mu.Unlock()
-		return len(stub.nacks) == 1
-	}, "nack")
-	stop()
+			waitFor(t, 5*time.Second, func() bool {
+				stub.mu.Lock()
+				defer stub.mu.Unlock()
+				return len(stub.nacks) == 1 && len(stub.completes) == 1
+			}, "a nack and a completion")
+			stop()
 
-	stub.mu.Lock()
-	defer stub.mu.Unlock()
-	if stub.nacks["lease-1"] != "injected failure" {
-		t.Errorf("nack reason = %q", stub.nacks["lease-1"])
-	}
-	if m := f.Metrics(); m.Failed != 1 || m.Completed != 0 {
-		t.Errorf("metrics = %+v, want 1 failed", m)
+			stub.mu.Lock()
+			defer stub.mu.Unlock()
+			if stub.nacks["lease-1"] != tc.reason {
+				t.Errorf("nack reason = %q, want %q", stub.nacks["lease-1"], tc.reason)
+			}
+			if stub.completes["lease-2"] == nil {
+				t.Error("the lease after the failure was not completed")
+			}
+			if m := f.Metrics(); m.Failed != 1 || m.Completed != 1 {
+				t.Errorf("metrics = %+v, want 1 failed and 1 completed", m)
+			}
+		})
 	}
 }
 

@@ -55,11 +55,8 @@ func (s *Modulo) CloneSteerer() core.Steerer {
 	return &ns
 }
 
-// CloneSteerer implements core.CloneableSteerer.
-func (s *FIFOBased) CloneSteerer() core.Steerer {
-	ns := *s
-	return &ns
-}
+// CloneSteerer implements core.CloneableSteerer (FIFOBased is stateless).
+func (s *FIFOBased) CloneSteerer() core.Steerer { return s }
 
 // CloneSteerer implements core.CloneableSteerer.
 func (s *General) CloneSteerer() core.Steerer {

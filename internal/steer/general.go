@@ -73,16 +73,13 @@ func (s *Modulo) Steer(info *core.SteerInfo) core.ClusterID {
 	return c
 }
 
-// FIFOBased is the cluster-choice half of the Palacharla/Jouppi/Smith
-// steering of Section 3.9; the FIFO placement within the chosen cluster is
-// performed by the core's FIFO-mode issue queues (config.IQFIFO). Steering
-// rule: an instruction follows its source operand that lives in exactly
-// one cluster so the dependence chain stays in one FIFO; with no pending
-// operand to chase it takes the clusters round-robin.
-type FIFOBased struct {
-	core.NopSteerer
-	next core.ClusterID
-}
+// FIFOBased names the FIFO-based steering of Palacharla, Jouppi and Smith
+// that Section 3.9 compares against. In that design the choice of FIFO is
+// the placement, and with it the cluster, so the core's FIFO-mode issue
+// queues (config.IQFIFO) place every instruction and never read a
+// policy's answer. FIFOBased decides nothing: it answers as
+// core.NaiveSteerer does, so off a FIFO-mode machine it steers like naive.
+type FIFOBased struct{ core.NaiveSteerer }
 
 // NewFIFOBased returns the FIFO-based steering scheme. Use it with
 // config.FIFOClustered (or an N-cluster config in IQFIFO mode).
@@ -90,23 +87,3 @@ func NewFIFOBased() *FIFOBased { return &FIFOBased{} }
 
 // Name implements core.Steerer.
 func (s *FIFOBased) Name() string { return "fifo" }
-
-// Steer implements core.Steerer.
-//
-//dca:hotpath
-func (s *FIFOBased) Steer(info *core.SteerInfo) core.ClusterID {
-	if info.Forced != core.AnyCluster {
-		return info.Forced
-	}
-	// Chase the first operand that lives in exactly one cluster.
-	for i := 0; i < info.NumSrcs; i++ {
-		if c := info.SrcIn[i].Single(); c != core.AnyCluster {
-			return c
-		}
-	}
-	// No chain to follow: rotate to spread load (the original proposal
-	// fills FIFOs round-robin).
-	c := s.next
-	s.next = (s.next + 1) % core.ClusterID(info.Clusters())
-	return c
-}

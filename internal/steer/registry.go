@@ -22,7 +22,8 @@ import (
 //	ldst-priority   priority slice balance steering, LdSt slices (§3.7)
 //	br-priority     priority slice balance steering, Br slices (§3.7)
 //	general         general balance steering (§3.8)
-//	fifo            FIFO-based steering of [15] (§3.9; use config.FIFOClustered)
+//	fifo            FIFO-based steering of [15] (§3.9): placed by the core's
+//	                FIFO mode (config.FIFOClustered), not by the policy
 //	static-ldst     Sastry et al.'s static partitioning, profile-derived (§3.3)
 //	static-br       the same over branch slices
 //	static-ldst-cons  compile-time (flow-insensitive) static partitioning
@@ -30,10 +31,11 @@ import (
 //	random          decomposition baseline: uniform random placement
 //
 // The balance-based schemes (modulo, nonslice, slicebal, priority, general,
-// fifo, operand, random) generalize to N-cluster machines via
-// Params.Clusters; the slice and static schemes are inherently two-way
-// partitioners (slice ↔ integer cluster, rest ↔ cluster 1) and keep that
-// behaviour on larger machines.
+// operand, random) generalize to N-cluster machines via Params.Clusters;
+// the slice and static schemes are inherently two-way partitioners (slice
+// ↔ integer cluster, rest ↔ cluster 1) and keep that behaviour on larger
+// machines. fifo is N-way through the core's FIFO mode
+// (config.ClusteredNFIFO).
 func Names() []string {
 	names := make([]string, 0, len(factories))
 	for n := range factories {

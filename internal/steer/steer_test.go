@@ -468,21 +468,6 @@ func TestPriorityCountsOnlyMatchingKind(t *testing.T) {
 	}
 }
 
-func TestFIFOBasedChasesOperands(t *testing.T) {
-	s := NewFIFOBased()
-	info := &core.SteerInfo{Forced: core.AnyCluster, NumSrcs: 1}
-	info.SrcIn[0] = inFP
-	if c := s.Steer(info); c != core.FPCluster {
-		t.Errorf("operand in FP, steered %v", c)
-	}
-	// No operands: alternates.
-	e1 := s.Steer(&core.SteerInfo{Forced: core.AnyCluster})
-	e2 := s.Steer(&core.SteerInfo{Forced: core.AnyCluster})
-	if e1 == e2 {
-		t.Error("empty-operand instructions did not alternate")
-	}
-}
-
 func TestStaticPartitionerFreezesAssignment(t *testing.T) {
 	p := mustFig2(t)
 	s, err := NewStatic(p, LdStSlice, 5_000)
