@@ -10,8 +10,10 @@
 # true and assert the response carries an attribution alongside an
 # unchanged digest while the stored result stays probe-free; and submit
 # the base machine's cell, whose digest must be the one `dcasim -scheme
-# base` prints (the scheme names its machine). Run from the repo root
-# (`make probe-smoke` or the CI step).
+# base` prints (the scheme names its machine). The base machine is fixed,
+# so base on 4 clusters is refused by both: dcasim exits non-zero naming
+# the refusal, and /v1/jobs answers 400. Run from the repo root (`make
+# probe-smoke` or the CI step).
 set -eu
 
 ADDR=127.0.0.1:8099
@@ -107,6 +109,19 @@ if [ -z "$BASE" ]; then
   exit 1
 fi
 
+# The base machine takes no cluster count: dcasim refuses base on 4
+# clusters, naming the scheme, rather than run the two-cluster machine.
+if "$SIM" -bench compress -scheme base -clusters 4 -warmup "$WARMUP" -measure "$MEASURE" \
+  >/dev/null 2>"$BASEOUT.err"; then
+  echo "probe smoke: dcasim -scheme base -clusters 4 ran; want a refusal" >&2
+  exit 1
+fi
+grep -q 'scheme "base" runs on its fixed machine' "$BASEOUT.err" || {
+  echo "probe smoke: dcasim -scheme base -clusters 4 failed without naming the refusal:" >&2
+  cat "$BASEOUT.err" >&2
+  exit 1
+}
+
 # An assembly file runs to HALT through the same path, probed or not.
 printf '  addi r1, r0, 1\n  add  r2, r1, r1\n  halt\n' >"$ASM"
 FILE=$("$SIM" -program "$ASM" -warmup 0 -measure 0 | digest_row)
@@ -165,6 +180,14 @@ curl -fsS -X POST "http://$ADDR/v1/jobs" \
 SERVEDBASE=$(sed -n 's/.*"result_digest": "\([0-9a-f]\{64\}\)".*/\1/p' "$BASEOUT" | head -1)
 if [ "$SERVEDBASE" != "$BASE" ]; then
   echo "probe smoke: base cell digest differs between dcasim and dcaserve (dcasim=$BASE served=$SERVEDBASE)" >&2
+  exit 1
+fi
+
+# The same refusal on the wire: base on 4 clusters is a 400.
+CODE=$(curl -sS -o "$BASEOUT.err" -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" \
+  -d "{\"scheme\":\"base\",\"benchmark\":\"compress\",\"clusters\":4,\"warmup\":$WARMUP,\"measure\":$MEASURE}")
+if [ "$CODE" != 400 ]; then
+  echo "probe smoke: base on 4 clusters answered $CODE on /v1/jobs, want 400" >&2
   exit 1
 fi
 

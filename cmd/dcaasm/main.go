@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/asm"
 	"repro/internal/emu"
@@ -31,12 +30,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: dcaasm [-run] [-o out.bin] prog.s")
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
-	src, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	p, err := asm.Assemble(filepath.Base(path), string(src))
+	p, err := asm.AssembleFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}

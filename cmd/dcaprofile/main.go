@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/asm"
 	"repro/internal/profile"
@@ -30,11 +29,7 @@ func main() {
 
 	switch {
 	case *file != "":
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := asm.Assemble(filepath.Base(*file), string(src))
+		p, err := asm.AssembleFile(*file)
 		if err != nil {
 			fatal(err)
 		}

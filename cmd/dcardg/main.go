@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/asm"
 	"repro/internal/prog"
@@ -35,10 +34,7 @@ func main() {
 	var err error
 	switch {
 	case *file != "":
-		var src []byte
-		if src, err = os.ReadFile(*file); err == nil {
-			p, err = asm.Assemble(filepath.Base(*file), string(src))
-		}
+		p, err = asm.AssembleFile(*file)
 	case *bench != "":
 		p, err = workload.Load(*bench)
 	default:

@@ -154,6 +154,39 @@ func TestHostileParamsRejected(t *testing.T) {
 	}
 }
 
+// TestPseudoSchemeClusterCountRejected: base and ub name fixed machines,
+// so a spec asking for either on 4 clusters gets a 400 naming the scheme
+// on every route that plans a spec, before anything simulates or is
+// enqueued, instead of the two-cluster machine's result.
+func TestPseudoSchemeClusterCountRejected(t *testing.T) {
+	counting := &countingRunner{}
+	srv := newServer(store.NewMemory(0), counting, 1, queue.Options{}, limits{})
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	for _, scheme := range []string{job.BaseScheme, job.UBScheme} {
+		spec := fmt.Sprintf(`{"scheme":%q,"benchmark":"go","clusters":4,"warmup":0,"measure":1000}`, scheme)
+		for _, route := range []struct{ path, body string }{
+			{"/v1/jobs", spec},
+			{"/v1/queue", `{"spec":` + spec + `}`},
+		} {
+			resp, err := http.Post(ts.URL+route.path, "application/json", strings.NewReader(route.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, fmt.Sprintf("%q", scheme)) {
+				t.Errorf("%s on 4 clusters to %s: status %d, error %q; want a 400 naming the scheme",
+					scheme, route.path, resp.StatusCode, er.Error)
+			}
+		}
+	}
+	if n, qs := counting.count(), srv.queue.Stats(); n != 0 || qs.Enqueued != 0 {
+		t.Errorf("rejected requests ran %d simulations and enqueued %d jobs, want 0 and 0", n, qs.Enqueued)
+	}
+}
+
 // panicRunner panics on one benchmark and simulates every other.
 type panicRunner struct{ bench string }
 

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 
@@ -79,6 +78,9 @@ func main() {
 	if err := job.ValidateScheme(*scheme); err != nil {
 		fatal(err)
 	}
+	if err := job.ValidateSchemeClusters(*scheme, *clusters); err != nil {
+		fatal(err)
+	}
 	if *file == "" {
 		if err := job.ValidateBenchmark(*bench); err != nil {
 			fatal(err)
@@ -100,7 +102,7 @@ func main() {
 	if *file != "" {
 		// An assembly file is not a named workload: its job key would not
 		// identify the program, so none is printed.
-		if p, err = assemble(*file); err != nil {
+		if p, err = asm.AssembleFile(*file); err != nil {
 			fatal(err)
 		}
 		j.Benchmark, key = p.Name, ""
@@ -277,15 +279,6 @@ func planJob(scheme, bench string, clusters int, warmup, measure uint64) job.Job
 		j.Params.Clusters = cfg.NumClusters()
 	}
 	return j
-}
-
-// assemble reads and assembles an assembly file, named after its base name.
-func assemble(file string) (*prog.Program, error) {
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
-	return asm.Assemble(filepath.Base(file), string(src))
 }
 
 func fatal(err error) {

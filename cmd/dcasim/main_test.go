@@ -9,13 +9,25 @@ import (
 )
 
 // TestPlanJobIsTheCanonicalCell: dcasim's job is the one job.Spec plans,
-// so the key it prints is the one cmd/dcaserve serves.
+// so the key it prints is the one cmd/dcaserve serves; and where job.Spec
+// refuses a cell (base or ub sized to 4 clusters), dcasim's check refuses
+// it too.
 func TestPlanJobIsTheCanonicalCell(t *testing.T) {
 	for _, scheme := range []string{"general", "fifo", job.BaseScheme, job.UBScheme} {
 		for _, clusters := range []int{2, 4} {
 			want, err := job.Spec{Scheme: scheme, Benchmark: "go", Clusters: clusters, Warmup: 10, Measure: 20}.Plan()
+			if (scheme == job.BaseScheme || scheme == job.UBScheme) && clusters != 2 {
+				if err == nil || job.ValidateSchemeClusters(scheme, clusters) == nil {
+					t.Errorf("%s on %d clusters: job.Spec err = %v, dcasim's check accepts it; want both to refuse",
+						scheme, clusters, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if err := job.ValidateSchemeClusters(scheme, clusters); err != nil {
+				t.Errorf("%s on %d clusters: dcasim refuses: %v", scheme, clusters, err)
 			}
 			if got := planJob(scheme, "go", clusters, 10, 20); got.Key() != want.Key() {
 				t.Errorf("%s on %d clusters: dcasim plans %+v, job.Spec %+v", scheme, clusters, got, want)

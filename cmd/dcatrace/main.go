@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/asm"
 	"repro/internal/emu"
@@ -77,11 +76,7 @@ func usage() {
 // loadProgram resolves the -bench/-program pair the way dcasim does.
 func loadProgram(bench, file string) (*prog.Program, error) {
 	if file != "" {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return asm.Assemble(filepath.Base(file), string(src))
+		return asm.AssembleFile(file)
 	}
 	return workload.Load(bench)
 }

@@ -24,6 +24,8 @@ package asm
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -49,6 +51,16 @@ func Assemble(name, source string) (*prog.Program, error) {
 		return nil, err
 	}
 	return a.finish()
+}
+
+// AssembleFile reads and assembles the source file at path, naming the
+// program after the file's base name.
+func AssembleFile(path string) (*prog.Program, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Assemble(filepath.Base(path), string(src))
 }
 
 type pendingInst struct {

@@ -3,6 +3,7 @@ package job
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -223,6 +224,67 @@ func TestGridSpecPlan(t *testing.T) {
 	}
 }
 
+// TestPseudoSchemesTakeNoClusterCount: base and ub name fixed machines, so
+// a spec asking for either on any cluster count but 0 or 2 is refused,
+// naming the scheme and the count, instead of being planned silently on
+// the fixed machine; on 0 and 2 each plans to one key.
+func TestPseudoSchemesTakeNoClusterCount(t *testing.T) {
+	for _, scheme := range []string{BaseScheme, UBScheme} {
+		for _, n := range []int{1, 3, 4, 8} {
+			_, err := Spec{Scheme: scheme, Benchmark: "go", Clusters: n, Warmup: 100, Measure: 1000}.Plan()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", scheme)) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("not %d", n)) {
+				t.Errorf("%s on %d clusters: err = %v, want a refusal naming the scheme and the count", scheme, n, err)
+			}
+		}
+		keys := make(map[string]bool)
+		for _, n := range []int{0, 2} {
+			j, err := Spec{Scheme: scheme, Benchmark: "go", Clusters: n, Warmup: 100, Measure: 1000}.Plan()
+			if err != nil {
+				t.Fatalf("%s on %d clusters: %v", scheme, n, err)
+			}
+			keys[j.Key()] = true
+		}
+		if len(keys) != 1 {
+			t.Errorf("%s plans to %d keys on 0 and 2 clusters, want 1", scheme, len(keys))
+		}
+	}
+}
+
+// TestGridPlansPseudoSchemesOnTheirMachines: a grid on N clusters plans
+// base and ub on their fixed machines (clusters 0), so dcabench -clusters
+// and /v1/grids keep the two-cluster base as the speed-up denominator.
+// The base cell's key is the one dcasim -bench go -scheme base -warmup 100
+// -measure 1000 prints: planning it through the grid moved no key.
+func TestGridPlansPseudoSchemesOnTheirMachines(t *testing.T) {
+	const baseKey = "b21b53e18868c4c1"
+	jobs, err := GridSpec{
+		Schemes:    []string{BaseScheme, UBScheme, "general"},
+		Benchmarks: []string{"go"},
+		Clusters:   4,
+		Warmup:     100,
+		Measure:    1000,
+	}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs[:2] {
+		want, err := Spec{Scheme: j.Scheme, Benchmark: "go", Warmup: 100, Measure: 1000}.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Key() != want.Key() {
+			t.Errorf("%s in a 4-cluster grid: key %s, want the clusters-0 key %s", j.Scheme, j.Key(), want.Key())
+		}
+	}
+	if k := jobs[0].Key(); !strings.HasPrefix(k, baseKey) {
+		t.Errorf("base key %s, want %s…", k, baseKey)
+	}
+	if n := jobs[2].Config.NumClusters(); n != 4 {
+		t.Errorf("general in a 4-cluster grid runs on %d clusters, want 4", n)
+	}
+}
+
 // TestPlanRejectsBadWindow: a spec or grid whose params carry an I2
 // window no balance scheme can run with (empty, negative, or past
 // MaxWindow) is refused at plan time, naming the field, before anything
@@ -259,9 +321,10 @@ func TestPlanRejectsBadWindow(t *testing.T) {
 // FuzzSpecPlan drives the wire-input path every service route shares: bytes
 // that decode as a JSON Spec are either refused by Plan or, with the
 // windows capped so each input stays cheap, simulate to a result or an
-// error — never a panic. The seeds include the empty and negative I2
-// windows, which would panic in the steering schemes if Plan let them
-// through.
+// error — never a panic — and a planned base or ub spec never names a
+// cluster count its fixed machine ignores. The seeds include the empty and
+// negative I2 windows, which would panic in the steering schemes if Plan
+// let them through, and base on 4 clusters.
 func FuzzSpecPlan(f *testing.F) {
 	seed := func(s Spec, window int) {
 		p := steer.DefaultParams()
@@ -278,6 +341,7 @@ func FuzzSpecPlan(f *testing.F) {
 	seed(base, 0)
 	seed(base, -1)
 	seed(Spec{Scheme: "ldst-priority", Benchmark: "gcc", Clusters: 8, Warmup: 100, Measure: 1000}, steer.DefaultParams().Window)
+	seed(Spec{Scheme: BaseScheme, Benchmark: "go", Clusters: 4, Warmup: 100, Measure: 1000}, steer.DefaultParams().Window)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var s Spec
 		if json.Unmarshal(raw, &s) != nil {
@@ -286,6 +350,9 @@ func FuzzSpecPlan(f *testing.F) {
 		j, err := s.Plan()
 		if err != nil {
 			return
+		}
+		if (s.Scheme == BaseScheme || s.Scheme == UBScheme) && s.Clusters != 0 && s.Clusters != 2 {
+			t.Fatalf("%s planned on %d clusters", s.Scheme, s.Clusters)
 		}
 		j.Warmup = min(j.Warmup, 500)
 		j.Measure = min(j.Measure, 2_000)

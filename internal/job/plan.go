@@ -8,7 +8,8 @@ import (
 
 // ConfigFor maps a scheme name and cluster count to the machine it runs
 // on: the base and upper-bound pseudo-schemes use their dedicated
-// machines, the FIFO scheme uses the FIFO-queue organization, and
+// machines whatever the count (ValidateSchemeClusters refuses any but 0
+// or 2 for them), the FIFO scheme uses the FIFO-queue organization, and
 // everything else runs on the steered machine — the paper's asymmetric
 // two-cluster processor when clusters is 0 or 2, config.ClusteredN
 // otherwise.
@@ -42,6 +43,8 @@ type Spec struct {
 	Benchmark string `json:"benchmark"`
 	// Clusters selects the steered machine: 0 or 2 is the paper's
 	// asymmetric two-cluster processor, anything else config.ClusteredN.
+	// The base and ub pseudo-schemes take only 0 or 2
+	// (ValidateSchemeClusters).
 	Clusters int `json:"clusters,omitempty"`
 	// Warmup and Measure are the committed-instruction budgets.
 	Warmup  uint64 `json:"warmup"`
@@ -60,6 +63,9 @@ func (s Spec) Plan() (Job, error) {
 		return Job{}, err
 	}
 	if err := ValidateScheme(s.Scheme); err != nil {
+		return Job{}, err
+	}
+	if err := ValidateSchemeClusters(s.Scheme, s.Clusters); err != nil {
 		return Job{}, err
 	}
 	if err := ValidateBenchmark(s.Benchmark); err != nil {
@@ -132,7 +138,10 @@ func dedup(names []string) []string {
 
 // Plan validates the grid and expands it into the canonical job list in
 // deterministic order: schemes in input order with duplicates dropped,
-// each crossed with EffectiveBenchmarks in order.
+// each crossed with EffectiveBenchmarks in order. The base and ub
+// pseudo-schemes are planned on their fixed machines (clusters 0), so a
+// grid on N clusters keeps the two-cluster base as its speed-up
+// denominator.
 func (g GridSpec) Plan() ([]Job, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -140,11 +149,15 @@ func (g GridSpec) Plan() ([]Job, error) {
 	schemes, benches := dedup(g.Schemes), g.EffectiveBenchmarks()
 	jobs := make([]Job, 0, len(schemes)*len(benches))
 	for _, scheme := range schemes {
+		clusters := g.Clusters
+		if scheme == BaseScheme || scheme == UBScheme {
+			clusters = 0
+		}
 		for _, bench := range benches {
 			j, err := Spec{
 				Scheme:    scheme,
 				Benchmark: bench,
-				Clusters:  g.Clusters,
+				Clusters:  clusters,
 				Warmup:    g.Warmup,
 				Measure:   g.Measure,
 				Params:    g.Params,

@@ -33,6 +33,19 @@ func ValidateClusters(clusters int) error {
 	return nil
 }
 
+// ValidateSchemeClusters rejects a cluster count the scheme cannot be
+// sized to: the base and ub pseudo-schemes name fixed machines (the
+// conventional two-cluster base and the 16-way upper bound), so they take
+// no count but 0 or 2. Spec.Plan and dcasim call it; GridSpec.Plan plans
+// them on clusters 0 whatever the grid's count.
+func ValidateSchemeClusters(scheme string, clusters int) error {
+	if (scheme == BaseScheme || scheme == UBScheme) && clusters != 0 && clusters != 2 {
+		return fmt.Errorf("job: scheme %q runs on its fixed machine and takes no cluster count but 0 or 2, not %d",
+			scheme, clusters)
+	}
+	return nil
+}
+
 // ValidateMeasure rejects a zero measurement window. Measure 0 means "run
 // to HALT" (RunProgram), and the named workloads are endless loops, so a
 // planned job with it would simulate without bound. dcasim builds its job

@@ -9,10 +9,11 @@
 //
 // The package builds RDGs two ways: statically over a program's text
 // (flow-insensitive, the compiler's view) and dynamically over an
-// execution window (exact, the hardware's view). It is used by the static
-// partitioner's analysis mode, by tests that validate the steering
-// hardware against the formal definition, and by cmd/dcardg for
-// visualization.
+// execution window (exact, the hardware's view). It is the one formal
+// definition of the slices: the conservative static partitioner
+// (steer.NewStaticConservative) takes its slice from BuildStatic,
+// internal/steer's tests check the steering hardware's slice learner
+// against BuildDynamic, and cmd/dcardg visualizes both.
 package rdg
 
 import (

@@ -5,26 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/prog"
-	"repro/internal/steer"
 	"repro/internal/workload"
 )
-
-// feedSlice presents the committed instruction stream to the steering
-// hardware in decode order, as the pipeline would.
-func feedSlice(t *testing.T, p *prog.Program, s core.Steerer) {
-	t.Helper()
-	m := emu.New(p)
-	for i := 0; i < 5_000 && !m.Halted; i++ {
-		st, err := m.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Steer(&core.SteerInfo{PC: st.PC, Inst: st.Inst, Forced: core.AnyCluster})
-	}
-}
 
 // fig2 is the paper's running example; node numbers below refer to these
 // instruction indices.
@@ -176,29 +159,6 @@ func TestBrSliceMatchesFigure2(t *testing.T) {
 	for _, pc := range []int{2, 3, 4, 6, 7, 11, 14, 15, 16} {
 		if br[pc] {
 			t.Errorf("PC %d should NOT be in the Br slice", pc)
-		}
-	}
-}
-
-// The dynamic steering hardware (steer.Slice) must converge to the formal
-// dynamic-RDG slice on steady-state code: the hardware learns one producer
-// level per execution, so after enough iterations the loop body matches.
-func TestHardwareSliceConvergesToFormalSlice(t *testing.T) {
-	p := mustFig2(t)
-	g, err := BuildDynamic(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formal := g.LdStSlice()
-
-	hw := steer.NewSlice(steer.LdStSlice)
-	feedSlice(t, p, hw)
-
-	// Compare on loop-body PCs (2..18); one-shot init code may never be
-	// re-decoded, which is a real property of the hardware scheme.
-	for pc := 2; pc <= 18; pc++ {
-		if hw.InSlice(pc) != formal[pc] {
-			t.Errorf("PC %d: hardware=%v formal=%v", pc, hw.InSlice(pc), formal[pc])
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package steer
 
-import "repro/internal/core"
+import (
+	"maps"
+
+	"repro/internal/core"
+)
 
 // This file implements core.CloneableSteerer for every registered scheme,
 // so warm-state checkpointing (core's Machine.Checkpoint) can snapshot
@@ -23,21 +27,11 @@ func (im *imbalance) clone() *imbalance {
 	return &ni
 }
 
-// clone deep-copies the slice and parent tables.
-func (t *sliceBitTable) clone() *sliceBitTable {
-	bits := make(map[int]bool, len(t.bits))
-	for pc, b := range t.bits {
-		bits[pc] = b
-	}
-	return &sliceBitTable{bits: bits}
-}
-
-func (t *sliceIDTable) clone() *sliceIDTable {
-	ids := make(map[int]int, len(t.ids))
-	for pc, id := range t.ids {
-		ids[pc] = id
-	}
-	return &sliceIDTable{ids: ids}
+// clone deep-copies the slice table; the parent table and the scratch
+// buffer are arrays, copied with the struct.
+func (l sliceLearner) clone() sliceLearner {
+	l.ids = maps.Clone(l.ids)
+	return l
 }
 
 // CloneSteerer implements core.CloneableSteerer (Operand is stateless).
@@ -63,27 +57,21 @@ func (s *General) CloneSteerer() core.Steerer {
 	return &General{im: s.im.clone()}
 }
 
-// clone deep-copies the slice steering state (also used by the embedding
-// NonSliceBalance).
-func (s *Slice) clone() *Slice {
-	ns := *s
-	ns.bits = s.bits.clone()
-	return &ns
+// CloneSteerer implements core.CloneableSteerer.
+func (s *Slice) CloneSteerer() core.Steerer {
+	return &Slice{sliceLearner: s.sliceLearner.clone()}
 }
 
 // CloneSteerer implements core.CloneableSteerer.
-func (s *Slice) CloneSteerer() core.Steerer { return s.clone() }
-
-// CloneSteerer implements core.CloneableSteerer.
 func (s *NonSliceBalance) CloneSteerer() core.Steerer {
-	return &NonSliceBalance{slice: s.slice.clone(), im: s.im.clone()}
+	return &NonSliceBalance{sliceLearner: s.sliceLearner.clone(), im: s.im.clone()}
 }
 
 // clone deep-copies the slice-balance state (also used by the embedding
 // Priority, whose promoted CloneSteerer this keeps correct by overriding).
 func (s *SliceBalance) clone() *SliceBalance {
 	ns := *s
-	ns.ids = s.ids.clone()
+	ns.sliceLearner = s.sliceLearner.clone()
 	ns.im = s.im.clone()
 	table := make(map[int]*sliceState, len(s.table))
 	for sid, st := range s.table {

@@ -330,23 +330,7 @@ func (im *imbalance) overloaded(c core.ClusterID) bool {
 	if c < 0 || int(c) >= im.n {
 		return false
 	}
-	return im.deltaGE(c, im.leastLoadedIn(im.allClusters(), nil), 1)
-}
-
-// leastLoaded returns the cluster the counters say has the most spare
-// capacity, falling back to the raw ready counts on ties (and to the
-// lowest cluster index after that).
-//
-//dca:hotpath
-func (im *imbalance) leastLoaded(ready []int) core.ClusterID {
-	return im.leastLoadedIn(im.allClusters(), ready)
-}
-
-// leastLoadedOf restricts leastLoaded to the candidate set.
-//
-//dca:hotpath
-func (im *imbalance) leastLoadedOf(cands core.ClusterSet, ready []int) core.ClusterID {
-	return im.leastLoadedIn(cands, ready)
+	return im.deltaGE(c, im.leastLoaded(im.allClusters(), nil), 1)
 }
 
 // readyAt reads the ready count for cluster c, treating a short or nil
@@ -374,15 +358,16 @@ func (im *imbalance) lighter(kc, sc, ko, so int) bool {
 	return kc <= ko-im.filled
 }
 
-// leastLoadedIn scans the clusters in the candidate set and keeps the
-// least loaded: a candidate replaces the incumbent when the pairwise
-// counter says it is strictly less loaded, or on a counter tie when it has
-// strictly fewer raw ready instructions. Each candidate's key is computed
-// once and compared exactly (lighter), so the scan is one pass. It runs
-// once per steered instruction, so it stays closure- and allocation-free.
+// leastLoaded returns the cluster of the candidate set the counters say
+// has the most spare capacity: a candidate replaces the incumbent when the
+// pairwise counter says it is strictly less loaded, or on a counter tie
+// when it has strictly fewer raw ready instructions (the lowest cluster
+// index wins after that). Each candidate's key is computed once and
+// compared exactly (lighter), so the scan is one pass. It runs once per
+// steered instruction, so it stays closure- and allocation-free.
 //
 //dca:hotpath
-func (im *imbalance) leastLoadedIn(cands core.ClusterSet, ready []int) core.ClusterID {
+func (im *imbalance) leastLoaded(cands core.ClusterSet, ready []int) core.ClusterID {
 	best := core.AnyCluster
 	var bestK, bestS int
 	for i := 0; i < im.n; i++ {

@@ -77,7 +77,7 @@ func (im *imbalance) deltaSign(c, o core.ClusterID) int {
 	return 0
 }
 
-// leastLoadedRef is leastLoadedIn with two deltaGE calls per candidate.
+// leastLoadedRef is leastLoaded with two deltaGE calls per candidate.
 func (im *imbalance) leastLoadedRef(cands core.ClusterSet, ready []int) core.ClusterID {
 	best := core.AnyCluster
 	for i := 0; i < im.n; i++ {
@@ -155,7 +155,7 @@ func operandMajorityRef(info *core.SteerInfo, n int) core.ClusterSet {
 // TestLinearBalanceMatchesPairwise sweeps counter states from a fixed seed
 // — 1 to 8 clusters, thresholds −1, 0, 1, 8 and 33, every fill level of a
 // 16-cycle window, I1 or I2 switched off — and requires the linear-time
-// strong, leastLoadedIn, onSteer and operand-majority rules to return
+// strong, leastLoaded, onSteer and operand-majority rules to return
 // exactly what the pairwise and per-cluster references return. A third of
 // the states are built so the key spread falls strictly between
 // (T−1)·filled and T·filled, the band where strong falls back to the
@@ -256,8 +256,8 @@ func TestLinearBalanceMatchesPairwise(t *testing.T) {
 			ready[c] = r.Intn(6)
 		}
 		for _, cs := range []core.ClusterSet{cands, im.allClusters()} {
-			if got, want := im.leastLoadedIn(cs, ready), im.leastLoadedRef(cs, ready); got != want {
-				t.Fatalf("leastLoadedIn(%08b, %v) = %v, reference %v (n=%d filled=%d sum=%v i1=%v)",
+			if got, want := im.leastLoaded(cs, ready), im.leastLoadedRef(cs, ready); got != want {
+				t.Fatalf("leastLoaded(%08b, %v) = %v, reference %v (n=%d filled=%d sum=%v i1=%v)",
 					cs, ready, got, want, n, f, im.sum, im.i1)
 			}
 		}

@@ -15,19 +15,19 @@ import (
 // is the argmin over the per-cluster workload counters.
 type NonSliceBalance struct {
 	core.NopSteerer
-	slice *Slice
-	im    *imbalance
+	sliceLearner
+	im *imbalance
 }
 
 // NewNonSliceBalance returns the scheme over the given slice kind with the
 // paper's balance constants.
 func NewNonSliceBalance(kind SliceKind, p Params) *NonSliceBalance {
-	return &NonSliceBalance{slice: NewSlice(kind), im: newImbalance(p)}
+	return &NonSliceBalance{sliceLearner: newSliceLearner(kind), im: newImbalance(p)}
 }
 
 // Name implements core.Steerer.
 func (s *NonSliceBalance) Name() string {
-	return fmt.Sprintf("%s-nonslice", s.slice.kind)
+	return fmt.Sprintf("%s-nonslice", s.kind)
 }
 
 // OnCycle implements core.Steerer.
@@ -41,7 +41,7 @@ func (s *NonSliceBalance) OnCycle(cycle uint64, ready []int) {
 //
 //dca:hotpath
 func (s *NonSliceBalance) Steer(info *core.SteerInfo) core.ClusterID {
-	inSlice := s.slice.observe(info)
+	_, inSlice := s.observe(info.PC, info.Inst)
 	c := s.choose(info, inSlice)
 	s.im.onSteer(c)
 	return c
@@ -67,7 +67,7 @@ func (s *NonSliceBalance) choose(info *core.SteerInfo, inSlice bool) core.Cluste
 func steerByOperandsAndBalance(info *core.SteerInfo, im *imbalance) core.ClusterID {
 	ready := info.Ready[:min(im.n, len(info.Ready))]
 	if im.strong() {
-		return im.leastLoaded(ready)
+		return im.leastLoaded(im.allClusters(), ready)
 	}
 	// Clusters holding the operand majority; with no operands (or a full
 	// tie) every cluster is a candidate and load decides, as in the
@@ -76,7 +76,7 @@ func steerByOperandsAndBalance(info *core.SteerInfo, im *imbalance) core.Cluster
 	if c := cands.Single(); c != core.AnyCluster {
 		return c
 	}
-	return im.leastLoadedOf(cands, ready)
+	return im.leastLoaded(cands, ready)
 }
 
 // operandMajority returns the clusters of all holding the most of the

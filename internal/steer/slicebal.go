@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/isa"
 )
 
 // sliceState is one slice's entry in the cluster table of Figure 10 (and
@@ -27,15 +26,9 @@ type sliceState struct {
 // balance rule.
 type SliceBalance struct {
 	core.NopSteerer
-	kind    SliceKind
-	ids     *sliceIDTable
-	parents parentTable
-	im      *imbalance
-	table   map[int]*sliceState // slice id (defining pc) -> state
-	// srcBuf is observe's scratch for an instruction's slice sources (at
-	// most two). An array, so a clone's struct copy carries it and no
-	// decode allocates.
-	srcBuf [2]isa.Reg
+	sliceLearner
+	im    *imbalance
+	table map[int]*sliceState // slice id (defining pc) -> state
 	// Remaps counts whole-slice reassignments (reported by the ablation
 	// benches; the priority scheme exists to reduce these).
 	Remaps uint64
@@ -44,10 +37,9 @@ type SliceBalance struct {
 // NewSliceBalance returns the scheme over the given slice kind.
 func NewSliceBalance(kind SliceKind, p Params) *SliceBalance {
 	return &SliceBalance{
-		kind:  kind,
-		ids:   newSliceIDTable(),
-		im:    newImbalance(p),
-		table: make(map[int]*sliceState),
+		sliceLearner: newSliceLearner(kind),
+		im:           newImbalance(p),
+		table:        make(map[int]*sliceState),
 	}
 }
 
@@ -59,30 +51,6 @@ func (s *SliceBalance) Name() string { return fmt.Sprintf("%s-slicebal", s.kind)
 //dca:hotpath
 func (s *SliceBalance) OnCycle(cycle uint64, ready []int) {
 	s.im.onCycle(ready)
-}
-
-// observe updates slice membership for the decoded instruction and returns
-// its slice id, if any.
-//
-//dca:hotpath
-func (s *SliceBalance) observe(info *core.SteerInfo) (int, bool) {
-	in := info.Inst
-	pc := info.PC
-	if s.kind.defines(in.Op) {
-		s.ids.set(pc, pc) // the defining instruction anchors its own slice
-	}
-	sid, inSlice := s.ids.get(pc)
-	if inSlice {
-		for _, r := range sliceSources(s.kind, in, s.srcBuf[:0]) {
-			if ppc, ok := s.parents.lookup(r); ok {
-				s.ids.set(ppc, sid)
-			}
-		}
-	}
-	if d, ok := in.Dst(); ok {
-		s.parents.record(d, pc)
-	}
-	return sid, inSlice
 }
 
 // state returns (creating if needed) the cluster-table entry for sid. New
@@ -110,10 +78,10 @@ func (s *SliceBalance) steerSlice(sid int, info *core.SteerInfo) core.ClusterID 
 	ready := info.Ready[:min(s.im.n, len(info.Ready))]
 	st := s.state(sid)
 	if !st.assigned {
-		st.cluster = s.im.leastLoaded(ready)
+		st.cluster = s.im.leastLoaded(s.im.allClusters(), ready)
 		st.assigned = true
 	} else if s.im.strong() && s.im.overloaded(st.cluster) {
-		st.cluster = s.im.leastLoaded(ready)
+		st.cluster = s.im.leastLoaded(s.im.allClusters(), ready)
 		s.Remaps++
 	}
 	return st.cluster
@@ -123,7 +91,7 @@ func (s *SliceBalance) steerSlice(sid int, info *core.SteerInfo) core.ClusterID 
 //
 //dca:hotpath
 func (s *SliceBalance) Steer(info *core.SteerInfo) core.ClusterID {
-	sid, inSlice := s.observe(info)
+	sid, inSlice := s.observe(info.PC, info.Inst)
 	c := s.choose(info, sid, inSlice)
 	s.im.onSteer(c)
 	return c
@@ -214,7 +182,7 @@ func (s *Priority) critical(sid int) bool {
 //
 //dca:hotpath
 func (s *Priority) Steer(info *core.SteerInfo) core.ClusterID {
-	sid, inSlice := s.observe(info)
+	sid, inSlice := s.observe(info.PC, info.Inst)
 	s.totalCount++
 	crit := inSlice && s.critical(sid)
 	if crit {

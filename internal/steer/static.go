@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/rdg"
 )
 
 // Static reproduces the compile-time partitioning of Sastry, Palacharla
@@ -18,14 +18,13 @@ import (
 //
 // The original derives the slice from compiler analysis; lacking the Alpha
 // compiler, we derive it from a profiling pre-pass: the program runs
-// functionally for a profiling window while the same incremental
-// slice-marking algorithm as the dynamic schemes records membership, which
-// is then frozen (see DESIGN.md's substitution table). This matches the
-// defining property Figure 3 tests — all instances of one static
-// instruction execute in one fixed cluster.
+// functionally for a profiling window while the slice learner of the
+// dynamic schemes records membership, which is then frozen (see DESIGN.md's
+// steering table). This matches the defining property Figure 3 tests —
+// all instances of one static instruction execute in one fixed cluster.
 type Static struct {
 	core.NopSteerer
-	assign map[int]core.ClusterID
+	assign []core.ClusterID // indexed by PC over the program's text
 	name   string
 }
 
@@ -39,111 +38,61 @@ func NewStatic(p *prog.Program, kind SliceKind, window uint64) (*Static, error) 
 	if window == 0 {
 		window = ProfileWindow
 	}
-	bits := newSliceBitTable()
-	var parents parentTable
-	var srcBuf []isa.Reg
-
+	l := newSliceLearner(kind)
 	m := emu.New(p)
 	for i := uint64(0); i < window && !m.Halted; i++ {
 		st, err := m.Step()
 		if err != nil {
 			return nil, fmt.Errorf("steer: static profiling: %w", err)
 		}
-		in := st.Inst
-		if kind.defines(in.Op) {
-			bits.set(st.PC)
-		}
-		if bits.get(st.PC) {
-			srcBuf = sliceSources(kind, in, srcBuf[:0])
-			for _, r := range srcBuf {
-				if ppc, ok := parents.lookup(r); ok {
-					bits.set(ppc)
-				}
-			}
-		}
-		if d, ok := in.Dst(); ok {
-			parents.record(d, st.PC)
-		}
+		l.observe(st.PC, st.Inst)
 	}
-
-	assign := make(map[int]core.ClusterID, len(p.Text))
-	for pc := range p.Text {
-		if bits.get(pc) {
-			assign[pc] = core.IntCluster
-		} else {
-			assign[pc] = core.FPCluster
-		}
-	}
-	return &Static{assign: assign, name: fmt.Sprintf("static-%s", kind)}, nil
+	return freeze(p, fmt.Sprintf("static-%s", kind), l.has), nil
 }
 
 // NewStaticConservative derives the slice purely at compile time, the way
-// a compiler without path profiles must: flow-insensitive reaching
-// definitions over the static RDG (every instruction writing register r is
-// a potential parent of every instruction reading r). This over-marks the
+// a compiler without path profiles must: the slice of rdg.BuildStatic's
+// flow-insensitive RDG, where every instruction writing register r is a
+// potential parent of every instruction reading r. This over-marks the
 // slice — any register reused across program contexts drags extra
 // instructions into the integer cluster — which is the conservatism that
 // handicaps static partitioning in the paper's Figure 3.
 func NewStaticConservative(p *prog.Program, kind SliceKind) *Static {
-	writers := make(map[isa.Reg][]int)
-	for pc, in := range p.Text {
-		if d, ok := in.Dst(); ok {
-			writers[d] = append(writers[d], pc)
-		}
+	g := rdg.BuildStatic(p)
+	slice := g.LdStSlice()
+	if kind == BrSlice {
+		slice = g.BrSlice()
 	}
-	inSlice := make(map[int]bool)
-	var work []int
-	for pc, in := range p.Text {
-		if kind.defines(in.Op) {
-			inSlice[pc] = true
-			work = append(work, pc)
-		}
-	}
-	var srcBuf []isa.Reg
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		srcBuf = sliceSources(kind, p.Text[pc], srcBuf[:0])
-		for _, r := range srcBuf {
-			for _, w := range writers[r] {
-				if !inSlice[w] {
-					inSlice[w] = true
-					work = append(work, w)
-				}
-			}
-		}
-	}
-	assign := make(map[int]core.ClusterID, len(p.Text))
-	for pc := range p.Text {
-		if inSlice[pc] {
+	return freeze(p, fmt.Sprintf("static-%s-cons", kind), func(pc int) bool { return slice[pc] })
+}
+
+// freeze fixes the assignment of every PC of p's text: slice members to
+// the integer cluster, the rest to the FP cluster.
+func freeze(p *prog.Program, name string, member func(pc int) bool) *Static {
+	assign := make([]core.ClusterID, len(p.Text))
+	for pc := range assign {
+		assign[pc] = core.FPCluster
+		if member(pc) {
 			assign[pc] = core.IntCluster
-		} else {
-			assign[pc] = core.FPCluster
 		}
 	}
-	return &Static{assign: assign, name: fmt.Sprintf("static-%s-cons", kind)}
+	return &Static{assign: assign, name: name}
 }
 
 // Name implements core.Steerer.
 func (s *Static) Name() string { return s.name }
 
-// Steer implements core.Steerer.
+// Steer implements core.Steerer. The core steers only PCs of the
+// program's text, which the assignment covers.
 //
 //dca:hotpath
 func (s *Static) Steer(info *core.SteerInfo) core.ClusterID {
 	if info.Forced != core.AnyCluster {
 		return info.Forced
 	}
-	if c, ok := s.assign[info.PC]; ok {
-		return c
-	}
-	return core.IntCluster
+	return s.assign[info.PC]
 }
 
-// Assignment exposes the frozen per-PC map (for tests).
-//
-//dca:hotpath
-func (s *Static) Assignment(pc int) (core.ClusterID, bool) {
-	c, ok := s.assign[pc]
-	return c, ok
-}
+// Assignment exposes the frozen cluster of the static instruction at pc
+// (for tests).
+func (s *Static) Assignment(pc int) core.ClusterID { return s.assign[pc] }

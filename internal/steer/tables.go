@@ -89,43 +89,55 @@ func sliceSources(kind SliceKind, in isa.Inst, buf []isa.Reg) []isa.Reg {
 	return in.Srcs(buf)
 }
 
-// sliceBitTable is the one-bit-per-PC table of the plain slice-steering
-// schemes (Section 3.3): a set bit means the static instruction belongs to
-// the tracked slice. The hardware proposal indexes it by PC; we model it as
-// an exact per-PC table.
-type sliceBitTable struct {
-	bits map[int]bool
+// sliceLearner is the slice hardware of Sections 3.3 and 3.6: a slice
+// table mapping each static instruction to the slice it belongs to,
+// identified by the PC of the slice's defining load/store/branch (a PC
+// absent from ids is in no slice), plus the parent table. Every
+// slice-steering scheme and the profile-based static partitioner learn
+// membership through it; internal/rdg holds the formal definition it
+// approximates.
+type sliceLearner struct {
+	kind    SliceKind
+	ids     map[int]int // pc -> defining pc
+	parents parentTable
+	// srcBuf is observe's scratch for an instruction's slice sources (at
+	// most two). An array, so a clone's struct copy carries it and no
+	// decode allocates.
+	srcBuf [2]isa.Reg
 }
 
-func newSliceBitTable() *sliceBitTable {
-	return &sliceBitTable{bits: make(map[int]bool)}
+func newSliceLearner(kind SliceKind) sliceLearner {
+	return sliceLearner{kind: kind, ids: make(map[int]int)}
 }
 
+// observe updates the slice and parent tables for the instruction decoded
+// at pc and returns its slice id, if it has one. A defining instruction
+// anchors its own slice; an in-slice instruction marks the last writers of
+// its slice sources as members of its slice, so membership creeps up the
+// dependence graph one producer level per decode of the consumer.
+//
 //dca:hotpath
-func (t *sliceBitTable) set(pc int) { t.bits[pc] = true }
-
-//dca:hotpath
-func (t *sliceBitTable) get(pc int) bool { return t.bits[pc] }
-
-// sliceIDTable maps each static instruction to the slice it belongs to,
-// identified by the PC of the slice's defining load/store/branch (Section
-// 3.6's slice table). The zero value of an entry means "no slice".
-type sliceIDTable struct {
-	ids map[int]int // pc -> defining pc + 1 (0 = none)
-}
-
-func newSliceIDTable() *sliceIDTable {
-	return &sliceIDTable{ids: make(map[int]int)}
-}
-
-//dca:hotpath
-func (t *sliceIDTable) set(pc, slice int) { t.ids[pc] = slice + 1 }
-
-//dca:hotpath
-func (t *sliceIDTable) get(pc int) (int, bool) {
-	v, ok := t.ids[pc]
-	if !ok {
-		return 0, false
+func (l *sliceLearner) observe(pc int, in isa.Inst) (sid int, inSlice bool) {
+	if l.kind.defines(in.Op) {
+		l.ids[pc] = pc
 	}
-	return v - 1, true
+	sid, inSlice = l.ids[pc]
+	if inSlice {
+		for _, r := range sliceSources(l.kind, in, l.srcBuf[:0]) {
+			if ppc, ok := l.parents.lookup(r); ok {
+				l.ids[ppc] = sid
+			}
+		}
+	}
+	if d, ok := in.Dst(); ok {
+		l.parents.record(d, pc)
+	}
+	return sid, inSlice
+}
+
+// has reports whether the static instruction at pc has been learned as a
+// slice member.
+func (l *sliceLearner) has(pc int) bool {
+	_, ok := l.ids[pc]
+	return ok
 }
