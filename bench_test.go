@@ -335,13 +335,11 @@ func BenchmarkExtensionSymmetricClusters(b *testing.B) {
 // benchmarks) — the paper's headline figure and a representative mix of
 // cheap and expensive cells. Compare ns/op across the sub-benchmarks.
 //
-// All sub-benchmarks share one job.Checkpointed runner, the intended
-// production shape for repeated grids: the first run of each cell pays
-// its warm phase, every later iteration (and every other parallelism
-// level of the same grid) replays measurement from the warm snapshot.
-// Results are bit-identical to the direct runner (golden-locked).
+// Every iteration simulates every cell from scratch on job.Direct. A
+// runner shared across iterations would stop measuring simulation: a
+// job.Checkpointed restores, for a repeated cell, a snapshot that has
+// already measured its window, so nothing is simulated.
 func BenchmarkGridParallelism(b *testing.B) {
-	warm := &job.Checkpointed{}
 	var levels []int
 	for j := 1; j < runtime.NumCPU(); j *= 2 {
 		levels = append(levels, j)
@@ -352,7 +350,7 @@ func BenchmarkGridParallelism(b *testing.B) {
 			b.Run(fmt.Sprintf("clusters=%d/j=%d", clusters, j), func(b *testing.B) {
 				spec := benchSpec("modulo", "general", job.UBScheme)
 				spec.Clusters = clusters
-				pool := job.PoolOptions{Parallelism: j, Runner: warm}
+				pool := job.PoolOptions{Parallelism: j, Runner: job.Direct{}}
 				for i := 0; i < b.N; i++ {
 					if _, err := experiments.Run(context.Background(), spec, pool, false); err != nil {
 						b.Fatal(err)

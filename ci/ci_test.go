@@ -2,11 +2,11 @@
 // static-analysis lints, written as ordinary Go tests so `go test ./...`
 // (and the CI workflow's doc-lint step) enforces them on every package:
 // gofmt-clean sources, a package doc comment on every package (including
-// commands and examples), top-level docs that name only commands, make
-// targets and benchmark records that exist, and a clean dcalint run — the
-// internal/lint analyzer suite that proves the determinism,
-// hot-path-allocation, lock-discipline and wire-contract invariants at the
-// source level.
+// commands and examples), top-level docs and command usage comments that
+// name only commands, make targets, benchmark records and example files
+// that exist, and a clean dcalint run — the internal/lint analyzer suite
+// that proves the determinism, hot-path-allocation, lock-discipline and
+// wire-contract invariants at the source level.
 package ci
 
 import (
@@ -153,12 +153,19 @@ func requireCIRuns(t *testing.T, snippets ...string) {
 
 // TestCheckpointSuiteWired gates the checkpoint round-trip lock in
 // internal/core and the fuzz targets beside it: the co-simulation
-// property and the wire-input planner (internal/job). Both `make fuzz`
-// and the CI workflow must run each fuzz smoke.
+// property and the wire-input planner (internal/job). It also gates the
+// measurement-frontier locks: continuing a measurement from a snapshot
+// (internal/core), Checkpointed's sweeps in every order, concurrently and
+// with each measured instruction simulated once (internal/job), and the
+// golden grid reached by continuation (internal/experiments). Both `make
+// fuzz` and the CI workflow must run each fuzz smoke.
 func TestCheckpointSuiteWired(t *testing.T) {
 	requireTestFuncs(t, "the checkpoint/fuzz lock", map[string][]string{
-		filepath.Join("internal", "core"): {"TestCheckpointRoundTrip", "FuzzCoSimulate"},
-		filepath.Join("internal", "job"):  {"FuzzSpecPlan"},
+		filepath.Join("internal", "core"): {"TestCheckpointRoundTrip", "FuzzCoSimulate",
+			"TestCheckpointContinuesMeasurement", "TestCheckpointFrontierAllocFree"},
+		filepath.Join("internal", "job"): {"FuzzSpecPlan", "TestCheckpointedSweepOrders",
+			"TestCheckpointedConcurrentWindows", "TestCheckpointedSimulatesEachInstructionOnce"},
+		filepath.Join("internal", "experiments"): {"TestGoldenCheckpointedRunner"},
 	})
 	requireCIRuns(t, "-fuzz FuzzCoSimulate", "-fuzz FuzzSpecPlan")
 }
@@ -204,13 +211,15 @@ func TestProbeSuiteWired(t *testing.T) {
 }
 
 // TestDocReferencesExist requires every command, make target, benchmark
-// record and Go identifier that the top-level documents name to exist:
-// `cmd/<name>` must be a directory under cmd/, "`make <target>" a Makefile
-// target, BENCH_<name>.json a file at the module root, and a backquoted
-// `<pkg>.<Ident>` — <pkg> being a package directory under internal/ — an
-// exported top-level declaration of that package, with a further
-// `.<Ident>` a method or field of it. A deleted tool, target, record or
-// API then cannot linger in the docs.
+// record, example path and Go identifier that the top-level documents name
+// to exist: `cmd/<name>` must be a directory under cmd/, "`make <target>"
+// a Makefile target, BENCH_<name>.json a file at the module root, an
+// examples/<path> a file or directory, and a backquoted `<pkg>.<Ident>` —
+// <pkg> being a package directory under internal/ — an exported top-level
+// declaration of that package, with a further `.<Ident>` a method or field
+// of it. The examples/ paths in each command's doc comment (its usage
+// lines) must exist too. A deleted tool, target, record, file or API then
+// cannot linger in the docs.
 func TestDocReferencesExist(t *testing.T) {
 	makefile, err := os.ReadFile(filepath.Join(repoRoot, "Makefile"))
 	if err != nil {
@@ -232,6 +241,7 @@ func TestDocReferencesExist(t *testing.T) {
 		{regexp.MustCompile(`\bcmd/([a-z0-9]+)`), "cmd/%s", func(n string) bool { return exists(filepath.Join("cmd", n)) }},
 		{regexp.MustCompile("`make ([A-Za-z0-9_.-]+)"), "make %s", func(n string) bool { return targets[n] }},
 		{regexp.MustCompile(`\bBENCH_([A-Za-z0-9_]+)\.json`), "BENCH_%s.json", func(n string) bool { return exists("BENCH_" + n + ".json") }},
+		{examplePath, "examples/%s", func(n string) bool { return exists(filepath.Join("examples", n)) }},
 	}
 	decls := internalDecls(t)
 	codeSpan := regexp.MustCompile("`[^`]+`")
@@ -266,7 +276,32 @@ func TestDocReferencesExist(t *testing.T) {
 			}
 		}
 	}
+
+	mains, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no commands found (%v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Doc == nil {
+			continue
+		}
+		for _, m := range examplePath.FindAllStringSubmatch(f.Doc.Text(), -1) {
+			if !exists(filepath.Join("examples", m[1])) {
+				rel, _ := filepath.Rel(repoRoot, path)
+				t.Errorf("%s names examples/%s, which does not exist", rel, m[1])
+			}
+		}
+	}
 }
+
+// examplePath matches a path under examples/, capturing it without the
+// sentence punctuation that may follow it.
+var examplePath = regexp.MustCompile(`\bexamples/([A-Za-z0-9_./-]*[A-Za-z0-9_/])?`)
 
 // internalDecls maps each package directory under internal/, by its
 // name, to its exported top-level declarations, each with the set of its

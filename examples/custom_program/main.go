@@ -3,6 +3,11 @@
 // define LdSt and Br slices), execute it functionally, show how the
 // steering hardware learns its slices at run time, and time it on the
 // clustered machine.
+//
+// The program is a variant of examples/testdata/fig2.s, the copy the
+// tests and dcardg load: here C[1] = 0, so one iteration takes the
+// else-branch, and the loop jumps back to its start instead of halting,
+// so the timing run never runs out of instructions.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Package asm implements a two-pass text assembler for the repository's
 // ISA. It exists so workloads and test programs can be written in a compact
 // assembly dialect instead of raw [isa.Inst] literals; the HPCA 2000 paper's
-// RDG example (Figure 2) ships as an assembly file in the examples.
+// RDG example (Figure 2) ships as the assembly file examples/testdata/fig2.s.
 //
 // Syntax overview:
 //

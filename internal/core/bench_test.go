@@ -144,6 +144,22 @@ func newBenchMachineWithOracle(tb testing.TB, bc benchCase, o core.Oracle) *core
 // newWarmMachine builds and warms the case's machine over p.
 func newWarmMachine(tb testing.TB, bc benchCase, p *prog.Program, o core.Oracle) *core.Machine {
 	tb.Helper()
+	m := newCaseMachine(tb, bc, p, o)
+	for i := 0; i < 20_000; i++ {
+		if err := m.StepOneCycle(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	// Measure with statistics collection on: that is what every production
+	// run (dcabench, the experiment grid) pays per cycle.
+	m.BeginMeasurement()
+	return m
+}
+
+// newCaseMachine builds the case's machine over p, fetching from o (nil =
+// the live emulator).
+func newCaseMachine(tb testing.TB, bc benchCase, p *prog.Program, o core.Oracle) *core.Machine {
+	tb.Helper()
 	params := steer.DefaultParams()
 	params.Clusters = bc.cfg.NumClusters()
 	st, err := steer.NewWithParams(bc.scheme, p, params)
@@ -154,14 +170,6 @@ func newWarmMachine(tb testing.TB, bc benchCase, p *prog.Program, o core.Oracle)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < 20_000; i++ {
-		if err := m.StepOneCycle(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	// Measure with statistics collection on: that is what every production
-	// run (dcabench, the experiment grid) pays per cycle.
-	m.BeginMeasurement()
 	return m
 }
 

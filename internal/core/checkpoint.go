@@ -19,20 +19,26 @@ import (
 // a job except the measurement budget, including the steering scheme —
 // policies train their tables during warm-up — so snapshots are shareable
 // only between runs that differ in Measure alone.
+//
+// A snapshot may also be taken after a measurement: it then carries the
+// measurement under way, and measuring a restored copy over a window at
+// least as long continues it (see Machine.Measure) — a window sweep run
+// shortest first simulates each measured instruction once.
 
-// Checkpoint is a frozen warm-state snapshot. It is immutable: Restore
-// and Measure clone the frozen machine again, so one checkpoint serves any
+// Checkpoint is a frozen machine snapshot. It is immutable: Restore and
+// Measure clone the frozen machine again, so one checkpoint serves any
 // number of measurement runs.
 type Checkpoint struct {
 	m *Machine
 }
 
 // Checkpoint snapshots the machine's complete state, typically right after
-// Warm. ok is false when a component cannot be snapshotted: the steering
-// policy does not implement CloneableSteerer, the direction predictor is
-// not a bpred.ClonableDir, or a live in-flight instruction was found
-// chained outside the reorder buffer (an invariant violation). The machine
-// itself is untouched either way and may keep running.
+// Warm or Measure. ok is false when a component cannot be snapshotted: the
+// steering policy does not implement CloneableSteerer, the direction
+// predictor is not a bpred.ClonableDir, the oracle is not a
+// CloneableOracle, or a live in-flight instruction was found chained
+// outside the reorder buffer (an invariant violation). The machine itself
+// is untouched either way and may keep running.
 func (m *Machine) Checkpoint() (*Checkpoint, bool) {
 	c, ok := m.clone()
 	if !ok {
@@ -41,10 +47,25 @@ func (m *Machine) Checkpoint() (*Checkpoint, bool) {
 	return &Checkpoint{m: c}, true
 }
 
+// Freeze turns a machine its caller has finished with into a checkpoint
+// without copying it: the checkpoint takes ownership, and the caller must
+// not use m again. ok is false, and m stays the caller's, when a component
+// fails Checkpoint's type checks (steering policy, direction predictor,
+// oracle). What only a copy can find — a composite predictor with an
+// uncloneable part, an in-flight instruction chained outside the reorder
+// buffer — makes Restore return nil instead.
+func (m *Machine) Freeze() (*Checkpoint, bool) {
+	if _, _, _, ok := m.cloneable(); !ok {
+		return nil, false
+	}
+	return &Checkpoint{m: m}, true
+}
+
 // Restore returns a fresh machine continuing from the snapshot, leaving
-// the checkpoint reusable. It returns nil only if the frozen machine has
-// stopped being clonable, which cannot happen for snapshots built by
-// Checkpoint (cloning is closed: every component clones to its own type).
+// the checkpoint reusable. It returns nil only if the frozen machine is
+// not clonable: never for a snapshot built by Checkpoint (cloning is
+// closed: every component clones to its own type), and for one built by
+// Freeze only on what Freeze cannot check without a copy.
 func (c *Checkpoint) Restore() *Machine {
 	m, ok := c.m.clone()
 	if !ok {
@@ -71,14 +92,28 @@ func (m *Machine) ResumeOracle(o Oracle) bool {
 	return true
 }
 
-// Measure restores the snapshot and measures the next measure instructions
-// (0 = until HALT), exactly as Measure on the warmed machine would have.
+// Measure restores the snapshot and measures it over the window measure
+// (0 = until HALT), exactly as Measure on the frozen machine would have: a
+// snapshot taken after a measurement continues it, and refuses a window
+// shorter than the one it has measured.
 func (c *Checkpoint) Measure(measure uint64) (*stats.Run, error) {
 	m := c.Restore()
 	if m == nil {
 		return nil, fmt.Errorf("core: checkpoint no longer restorable")
 	}
 	return m.Measure(measure)
+}
+
+// cloneable returns the components clone copies through an interface,
+// and whether each implements it. A recording oracle
+// (internal/trace.Recorder) deliberately does not: two machines appending
+// to one trace buffer would interleave, so the caller falls back to an
+// unsnapshotted run.
+func (m *Machine) cloneable() (bpred.ClonableDir, CloneableSteerer, CloneableOracle, bool) {
+	dir, okDir := m.bp.(bpred.ClonableDir)
+	cs, okSteer := m.steerer.(CloneableSteerer)
+	co, okOracle := m.oracle.(CloneableOracle)
+	return dir, cs, co, okDir && okSteer && okOracle
 }
 
 // clone deep-copies the machine. The configuration, program and the
@@ -98,23 +133,12 @@ func (c *Checkpoint) Measure(measure uint64) (*stats.Run, error) {
 // chained pointer is translated through it; finding a live pointer the
 // table does not know falsifies that invariant and fails the clone.
 func (m *Machine) clone() (*Machine, bool) {
-	dir, okDir := m.bp.(bpred.ClonableDir)
-	if !okDir {
+	dir, cs, co, ok := m.cloneable()
+	if !ok {
 		return nil, false
 	}
 	nbp := dir.CloneDir()
 	if nbp == nil {
-		return nil, false
-	}
-	cs, okSteer := m.steerer.(CloneableSteerer)
-	if !okSteer {
-		return nil, false
-	}
-	co, okOracle := m.oracle.(CloneableOracle)
-	if !okOracle {
-		// A recording oracle (internal/trace.Recorder) is deliberately not
-		// cloneable: two machines appending to one trace buffer would
-		// interleave. The caller falls back to an unsnapshotted run.
 		return nil, false
 	}
 

@@ -1,13 +1,14 @@
 // Checkpoint round-trip suite: restoring a warm-state snapshot and
 // measuring must be byte-identical (JSON-encoded stats.Run) to measuring
 // the unbroken machine, for every registered steering scheme across
-// cluster counts, and the restored machine must keep the allocation-free
-// steady state.
+// cluster counts; so must continuing a measurement from a snapshot taken
+// after it. Restored machines must keep the allocation-free steady state.
 package core_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -70,6 +71,14 @@ func checkpointRoundTrip(t *testing.T, label string, newMachine func() *core.Mac
 // TestCheckpointRoundTrip covers every registered steering scheme on 2-,
 // 4- and 8-cluster machines.
 func TestCheckpointRoundTrip(t *testing.T) {
+	forEachSchemeMachine(t, checkpointRoundTrip)
+}
+
+// forEachSchemeMachine calls check with a machine builder for every
+// registered steering scheme on 2-, 4- and 8-cluster machines, all over
+// one random program.
+func forEachSchemeMachine(t *testing.T, check func(t *testing.T, label string, newMachine func() *core.Machine)) {
+	t.Helper()
 	p := rdg.RandomProgram(7)
 	for _, n := range []int{2, 4, 8} {
 		for _, scheme := range steer.Names() {
@@ -87,8 +96,83 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				}
 				return m
 			}
-			checkpointRoundTrip(t, scheme+"/n="+string(rune('0'+n)), newMachine)
+			check(t, scheme+"/n="+string(rune('0'+n)), newMachine)
 		}
+	}
+}
+
+// cpWindow and cpLonger are the continuation suite's two measurement
+// windows after cpWarmup; together they stay inside the random program,
+// which runs about 900 dynamic instructions, so the longer window ends
+// before HALT and a third, until-HALT window still has ground to cover.
+const (
+	cpWindow = 150
+	cpLonger = 400
+)
+
+// TestCheckpointContinuesMeasurement locks the measurement frontier on
+// the round-trip matrix: a machine warmed, measured over cpWindow and
+// snapshotted continues its measurement. Measuring the machine itself, or
+// a restored copy, over a longer window (cpLonger, then until HALT) must
+// be byte-identical to an unbroken RunWithWarmup over that window; the
+// same window again returns the first record; a shorter one is refused.
+func TestCheckpointContinuesMeasurement(t *testing.T) {
+	forEachSchemeMachine(t, checkpointContinuation)
+}
+
+// checkpointContinuation runs the continuation checks for one
+// machine-building function.
+func checkpointContinuation(t *testing.T, label string, newMachine func() *core.Machine) {
+	t.Helper()
+	unbroken := func(window uint64) []byte {
+		r, err := newMachine().RunWithWarmup(cpWarmup, window)
+		return runJSON(t, r, err, fmt.Sprintf("%s unbroken %d", label, window))
+	}
+	m := newMachine()
+	if err := m.Warm(cpWarmup); err != nil {
+		t.Fatalf("%s: warm: %v", label, err)
+	}
+	r, err := m.Measure(cpWindow)
+	first := runJSON(t, r, err, label+" first window")
+	if want := unbroken(cpWindow); !bytes.Equal(first, want) {
+		t.Fatalf("%s: first window diverged\n got: %s\nwant: %s", label, first, want)
+	}
+	cp, ok := m.Checkpoint()
+	if !ok {
+		t.Fatalf("%s: machine not checkpointable", label)
+	}
+	r, err = cp.Measure(cpWindow)
+	if got := runJSON(t, r, err, label+" repeated window"); !bytes.Equal(got, first) {
+		t.Errorf("%s: repeated window diverged from its first record\n got: %s\nwant: %s", label, got, first)
+	}
+	for _, short := range []*core.Machine{m, cp.Restore()} {
+		if _, err := short.Measure(cpWindow - 1); err == nil {
+			t.Errorf("%s: a window shorter than the one measured was accepted", label)
+		}
+	}
+	for _, window := range []uint64{cpLonger, 0} {
+		want := unbroken(window)
+		r, err := cp.Measure(window)
+		if got := runJSON(t, r, err, label+" restored"); !bytes.Equal(got, want) {
+			t.Errorf("%s: restored continuation to window %d diverged\n got: %s\nwant: %s", label, window, got, want)
+		}
+		r, err = m.Measure(window)
+		if got := runJSON(t, r, err, label+" original"); !bytes.Equal(got, want) {
+			t.Errorf("%s: continuation to window %d diverged\n got: %s\nwant: %s", label, window, got, want)
+		}
+	}
+	// The machine has measured until HALT, the longest window: frozen
+	// without a copy, it still serves that window and refuses any other.
+	fz, ok := m.Freeze()
+	if !ok {
+		t.Fatalf("%s: measured machine not freezable", label)
+	}
+	r, err = fz.Measure(0)
+	if got, want := runJSON(t, r, err, label+" frozen"), unbroken(0); !bytes.Equal(got, want) {
+		t.Errorf("%s: frozen machine's repeated window diverged\n got: %s\nwant: %s", label, got, want)
+	}
+	if _, err := fz.Measure(cpLonger); err == nil {
+		t.Errorf("%s: a finite window after until-HALT was accepted", label)
 	}
 }
 
@@ -150,6 +234,35 @@ func TestCheckpointRestoredMachineAllocFree(t *testing.T) {
 			}
 			if n := mallocsOver(t, m, 20_000); n != 0 {
 				t.Fatalf("restored machine allocated %d times in 20000 cycles (want 0)", n)
+			}
+		})
+	}
+}
+
+// TestCheckpointFrontierAllocFree is the allocation gate for a
+// measurement frontier: a machine warmed, measured and snapshotted keeps
+// every capacity through the round trip, so the restored copy continuing
+// the measurement allocates nothing over 20k cycles.
+func TestCheckpointFrontierAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs full warm-up")
+	}
+	for _, bc := range benchCases() {
+		t.Run(bc.name, func(t *testing.T) {
+			m := newCaseMachine(t, bc, benchProgram(), nil)
+			if _, err := m.RunWithWarmup(10_000, 20_000); err != nil {
+				t.Fatal(err)
+			}
+			cp, ok := m.Freeze()
+			if !ok {
+				t.Fatal("measured bench machine not freezable")
+			}
+			r := cp.Restore()
+			if r == nil {
+				t.Fatal("restore failed")
+			}
+			if n := mallocsOver(t, r, 20_000); n != 0 {
+				t.Fatalf("restored frontier allocated %d times in 20000 cycles (want 0)", n)
 			}
 		})
 	}

@@ -157,6 +157,10 @@ type Machine struct {
 	// asked for; Measure adds its own budget on top so the two-phase run
 	// targets the same absolute commit count as a single-loop run.
 	warmed uint64
+	// window is the budget of the last Measure call (0 = until HALT). A
+	// machine already measuring continues its measurement over a window
+	// at least this long, and refuses a shorter one.
+	window uint64
 }
 
 // pcDecode is the decode record of one static instruction: its register
@@ -454,16 +458,31 @@ func (m *Machine) RunWithWarmup(warmup, measure uint64) (*stats.Run, error) {
 // count an unbroken run would.
 func (m *Machine) Warm(warmup uint64) error {
 	m.warmed = warmup
+	m.measuring = false
 	if warmup == 0 {
 		return nil
 	}
-	m.measuring = false
 	return m.runUntil(warmup)
 }
 
 // Measure measures the next measure instructions (0 = until HALT) after a
 // Warm call (or from reset on a fresh machine) and finishes the record.
+//
+// On a machine already measuring — one that has run Measure, or was
+// restored from a snapshot taken after it — Measure continues that
+// measurement to warmed + measure, and the record is the one an unbroken
+// RunWithWarmup(warmup, measure) produces: the loop stops only between
+// cycles, and finishing a record writes only fields the next finish
+// recomputes. A window ending inside the last one's final commit batch
+// stops at the same cycle, so its record is that window's. measure must be
+// at least the last window (0, until HALT, is the longest): a shorter one
+// cannot be served from a later point and is refused.
 func (m *Machine) Measure(measure uint64) (*stats.Run, error) {
+	if m.measuring && !WindowCovers(measure, m.window) {
+		return nil, fmt.Errorf("core: cannot measure %s: this machine has already measured %s",
+			windowName(measure), windowName(m.window))
+	}
+	m.window = measure
 	target := uint64(0)
 	if measure > 0 {
 		target = m.warmed + measure
@@ -471,17 +490,33 @@ func (m *Machine) Measure(measure uint64) (*stats.Run, error) {
 	return m.measureTo(target)
 }
 
-// measureTo turns on measurement and simulates until target committed
-// program instructions (0 = until HALT), finishing the record. The target
-// is absolute — Measure passes warmed+measure — so a warm phase that
-// overshot its budget measures to the same cycle an unbroken run would.
-// A machine that halted during warm-up never begins measuring, matching
-// the single-loop behaviour this decomposition replaced. The record is
-// returned as a copy sharing nothing with the machine: a pointer into the
-// machine would keep all of it — pools, queues, caches — reachable for as
-// long as the caller keeps the result.
+// WindowCovers reports whether a measurement window w reaches at least as
+// far as the window last (0 = until HALT, the longest): whether Measure(w)
+// can continue a measurement over last.
+func WindowCovers(w, last uint64) bool {
+	return w == 0 || (last != 0 && w >= last)
+}
+
+// windowName renders a measurement window for an error message.
+func windowName(w uint64) string {
+	if w == 0 {
+		return "until HALT"
+	}
+	return fmt.Sprintf("a %d-instruction window", w)
+}
+
+// measureTo simulates until target committed program instructions (0 =
+// until HALT) and finishes the record, first turning measurement on
+// unless it is already under way. The target is absolute — Measure passes
+// warmed+measure — so a warm phase that overshot its budget measures to
+// the same cycle an unbroken run would. A machine that halted during
+// warm-up never begins measuring, matching the single-loop behaviour this
+// decomposition replaced. The record is returned as a copy sharing
+// nothing with the machine: a pointer into the machine would keep all of
+// it — pools, queues, caches — reachable for as long as the caller keeps
+// the result.
 func (m *Machine) measureTo(target uint64) (*stats.Run, error) {
-	if !m.haltCommitted {
+	if !m.measuring && !m.haltCommitted {
 		m.measuring = true
 		m.beginMeasurement()
 	}

@@ -428,9 +428,10 @@ loop:
 func rreg(i int) isa.Reg { return isa.R(i) }
 
 // TestMeasureReturnsDetachedRecord requires each measurement record to
-// share nothing with its machine: measuring again must leave an earlier
-// record as it was. (A record pointing into the machine would also keep
-// the whole machine reachable for as long as a caller holds the result.)
+// share nothing with its machine: continuing the measurement over a
+// longer window must leave an earlier record as it was. (A record
+// pointing into the machine would also keep the whole machine reachable
+// for as long as a caller holds the result.)
 func TestMeasureReturnsDetachedRecord(t *testing.T) {
 	m, err := New(config.Clustered(), wideLoop(), &moduloSteerer{})
 	if err != nil {
@@ -441,7 +442,7 @@ func TestMeasureReturnsDetachedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycles, steered := first.Cycles, append([]uint64(nil), first.Steered...)
-	if _, err := m.Measure(100); err != nil {
+	if _, err := m.Measure(6000); err != nil {
 		t.Fatal(err)
 	}
 	if first.Cycles != cycles || first.Steered[0] != steered[0] || first.Steered[1] != steered[1] {

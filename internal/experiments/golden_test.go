@@ -178,8 +178,10 @@ func verifyGoldenFile(t *testing.T, path string, g job.GridSpec, runner job.Runn
 }
 
 // TestGoldenCheckpointedRunner replays the same golden grid through a
-// shared job.Checkpointed runner: planning each cell, warming it behind a
-// warm-state snapshot and measuring must leave every statistic — cycle
+// shared job.Checkpointed runner that has first run the grid at half its
+// window, so every golden cell continues its warm key's measurement
+// frontier: planning each cell, warming it, measuring half the window,
+// snapshotting and measuring on must leave every statistic — cycle
 // counts, copies, steering splits, the full balance histogram —
 // bit-identical to the per-cycle, direct-runner record. Combined with the
 // runner-level round-trip tests in internal/job, this locks the whole
@@ -188,7 +190,16 @@ func TestGoldenCheckpointedRunner(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files are updated through the default runner")
 	}
-	verifyGoldenFile(t, "testdata/golden_n2.txt", goldenSpec(), &job.Checkpointed{})
+	g := goldenSpec()
+	half := g
+	half.Measure /= 2
+	c := &job.Checkpointed{}
+	for _, scheme := range g.Schemes {
+		for _, bench := range g.Benchmarks {
+			runCell(t, c, half, scheme, bench)
+		}
+	}
+	verifyGoldenFile(t, "testdata/golden_n2.txt", g, c)
 }
 
 // TestGoldenTracedRunner replays the full golden grid through the

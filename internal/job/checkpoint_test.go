@@ -3,11 +3,15 @@ package job
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // cpJobs builds a small spread of cells that exercises the warm-cache
@@ -46,11 +50,11 @@ func directDigest(t *testing.T, j Job) string {
 }
 
 // TestCheckpointedMatchesDirect is the runner-level bit-identity lock:
-// results produced from a warm snapshot (and from the leader's own warm
+// results produced from a snapshot (and from the leader's own warm
 // machine) must digest identically to Direct's. Each job runs twice
 // through one shared Checkpointed — the first pass is the leader (warm +
-// snapshot + own measure), the second replays measurement from the
-// snapshot.
+// own measure, then its machine becomes the frontier), the second
+// restores the frontier, which has already measured the window.
 func TestCheckpointedMatchesDirect(t *testing.T) {
 	c := &Checkpointed{}
 	for _, j := range cpJobs(t) {
@@ -68,8 +72,10 @@ func TestCheckpointedMatchesDirect(t *testing.T) {
 }
 
 // TestCheckpointedWarmReuse is the point of the runner: jobs that differ
-// only in the measurement budget share one warm key, so a measurement
-// sweep warms once and every window still matches Direct bit for bit.
+// only in the measurement budget share one warm key and every window still
+// matches Direct bit for bit. The 3000 → 6000 sweep warms once (6000
+// continues the 3000 frontier); the final 1000 is shorter than the
+// frontier and warms again, outside the key's one retained entry.
 func TestCheckpointedWarmReuse(t *testing.T) {
 	base, err := Spec{Scheme: "general", Benchmark: "compress", Warmup: 2_000, Measure: 3_000}.Plan()
 	if err != nil {
@@ -94,6 +100,137 @@ func TestCheckpointedWarmReuse(t *testing.T) {
 	}
 	if n := c.warm.Len(); n != 1 {
 		t.Errorf("sweep retained %d warm entries, want 1", n)
+	}
+}
+
+// windowJob is the sweep tests' cell with the measurement window w.
+func windowJob(t *testing.T, scheme, bench string, w uint64) Job {
+	t.Helper()
+	j, err := Spec{Scheme: scheme, Benchmark: bench, Warmup: 2_000, Measure: w}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestCheckpointedSweepOrders runs window sweeps in every order through a
+// fresh Checkpointed each: ascending (each window continues the last
+// frontier), descending (each window is shorter than the frontier and
+// warms afresh), repeated (each restores a frontier that has measured
+// it) and mixed. Every result must digest identically to Direct's.
+func TestCheckpointedSweepOrders(t *testing.T) {
+	orders := map[string][]uint64{
+		"ascending":  {1_000, 3_000, 6_000},
+		"descending": {6_000, 3_000, 1_000},
+		"repeated":   {3_000, 3_000, 3_000},
+		"mixed":      {3_000, 1_000, 6_000, 3_000, 6_000, 2_000, 8_000},
+	}
+	for _, cell := range [][2]string{{"general", "compress"}, {"fifo", "go"}} {
+		want := map[uint64]string{}
+		for name, order := range orders {
+			c := &Checkpointed{}
+			for i, w := range order {
+				j := windowJob(t, cell[0], cell[1], w)
+				if want[w] == "" {
+					want[w] = directDigest(t, j)
+				}
+				r, err := c.Run(context.Background(), j)
+				if err != nil {
+					t.Fatalf("%s/%s %s step %d (window %d): %v", cell[0], cell[1], name, i, w, err)
+				}
+				if got := ResultDigest(r); got != want[w] {
+					t.Errorf("%s/%s %s step %d (window %d): digest %s, direct %s", cell[0], cell[1], name, i, w, got, want[w])
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointedConcurrentWindows races mixed windows of two warm keys
+// through one Checkpointed: leaders, waiters, restores of a frontier
+// another goroutine is advancing and shorter windows falling back to a
+// fresh warm-up all interleave, and every result must still digest
+// identically to Direct's. make flake-sweep runs it under the race
+// detector.
+func TestCheckpointedConcurrentWindows(t *testing.T) {
+	windows := []uint64{4_000, 1_000, 6_000, 2_000, 6_000, 1_000, 3_000, 4_000}
+	var jobs []Job
+	want := map[string]string{}
+	for _, bench := range []string{"compress", "go"} {
+		for _, w := range windows {
+			j := windowJob(t, "general", bench, w)
+			jobs = append(jobs, j)
+			if _, ok := want[j.Key()]; !ok {
+				want[j.Key()] = directDigest(t, j)
+			}
+		}
+	}
+	c := &Checkpointed{}
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := c.Run(context.Background(), j)
+			if err == nil && ResultDigest(r) != want[j.Key()] {
+				err = fmt.Errorf("digest %s, direct %s", ResultDigest(r), want[j.Key()])
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("%s window %d: %v", jobs[i].Benchmark, jobs[i].Measure, err)
+		}
+	}
+	if n := c.warm.Len(); n != 2 {
+		t.Errorf("%d warm entries, want one per warm key", n)
+	}
+}
+
+// commitCounter is a probe that counts committed program instructions,
+// across every machine that carries it.
+type commitCounter struct{ n atomic.Uint64 }
+
+func (*commitCounter) Fetch(uint64, *core.FetchInfo) {}
+func (*commitCounter) Steer(*core.SteerDecision)     {}
+func (*commitCounter) Cycle(*core.CycleSample)       {}
+func (p *commitCounter) Event(_ uint64, ev core.Event, d *core.DynInst) {
+	if ev == core.EvCommit && !d.IsCopy {
+		p.n.Add(1)
+	}
+}
+
+// TestCheckpointedSimulatesEachInstructionOnce is the saving itself: an
+// ascending 1k → 4k → 12k sweep after a 3k warm-up simulates the warm-up
+// once and each measured instruction once — 3k + 12k commits in all, give
+// or take the last commit batch — where replaying every window from the
+// warm snapshot would commit 3k + 1k + 4k + 12k. The probe source hands
+// every machine built below one counter, and restored machines carry it.
+func TestCheckpointedSimulatesEachInstructionOnce(t *testing.T) {
+	const warmup = 3_000
+	probe := &commitCounter{}
+	ctx := WithProbe(context.Background(), func() core.Probe { return probe })
+	c := &Checkpointed{}
+	var retire uint64
+	for _, w := range []uint64{1_000, 4_000, 12_000} {
+		j, err := Spec{Scheme: "general", Benchmark: "go", Warmup: warmup, Measure: w}.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		retire = uint64(j.Config.RetireWidth)
+		r, err := c.Run(ctx, j)
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if got, want := ResultDigest(r), directDigest(t, j); got != want {
+			t.Errorf("window %d: digest %s, direct %s", w, got, want)
+		}
+	}
+	if n, want := probe.n.Load(), uint64(warmup+12_000); n < want || n >= want+retire {
+		t.Errorf("the sweep committed %d instructions, want %d up to one commit batch more", n, want)
 	}
 }
 
@@ -208,6 +345,57 @@ func TestCheckpointedFollowerHonorsContext(t *testing.T) {
 	releaseLeader()
 	if err := <-leader; err != nil {
 		t.Fatalf("leader: %v", err)
+	}
+}
+
+// TestCheckpointedWaiterSurvivesLeaderMeasureError: the warm leader
+// measures inside the coalesced call, so its measurement can fail where a
+// waiter's shorter or independently sourced run would not. The leader gets
+// its own error; the waiter runs on its own and matches Direct. Here the
+// leader fetches from a recording that ends shortly after its warm-up.
+func TestCheckpointedWaiterSurvivesLeaderMeasureError(t *testing.T) {
+	j := cpJobs(t)[0]
+	p, err := workload.Load(j.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(p)
+	if err := rec.Extend(j.Warmup + core.FetchAheadBound(j.Config) + 100); err != nil {
+		t.Fatal(err)
+	}
+	short := rec.Finalize(j.Warmup + 100)
+	entered, release := make(chan struct{}), make(chan struct{})
+	lctx := WithOracle(context.Background(), func() (core.Oracle, error) {
+		close(entered)
+		<-release
+		return trace.NewReplayer(short, p)
+	})
+	c := &Checkpointed{}
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Run(lctx, j)
+		leader <- err
+	}()
+	<-entered
+	waiter := make(chan string, 1)
+	go func() {
+		r, err := c.Run(context.Background(), j)
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+			waiter <- ""
+			return
+		}
+		waiter <- ResultDigest(r)
+	}()
+	// Give the waiter time to join the leader's call. The assertions hold
+	// either way: a waiter arriving after the leader failed leads itself.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if err := <-leader; !errors.Is(err, core.ErrOracleExhausted) {
+		t.Fatalf("leader: %v, want its oracle's exhaustion", err)
+	}
+	if got, want := <-waiter, directDigest(t, j); got != want {
+		t.Errorf("waiter: digest %s, direct %s", got, want)
 	}
 }
 

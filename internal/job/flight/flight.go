@@ -1,9 +1,9 @@
 // Package flight is the run layer's one coalescing primitive: concurrent
 // calls for the same key share a single computation, and finished values
 // can be kept for later calls. store.Cached shares an in-flight simulation
-// among identical submissions, job.Checkpointed a warm snapshot among the
-// runs of one warm key, and job.Traced an oracle recording among the cells
-// of one (program, window).
+// among identical submissions, job.Checkpointed a measurement frontier
+// among the runs of one warm key, and job.Traced an oracle recording among
+// the cells of one (program, window).
 package flight
 
 import (

@@ -49,8 +49,9 @@ func WithOracle(ctx context.Context, src func() (core.Oracle, error)) context.Co
 // WithProbe returns ctx with src as the probe source for every machine a
 // runner below builds. Probes observe and never steer, so a probed run's
 // result is bit-identical to an unprobed one's. Note that Checkpointed's
-// restored machines inherit the warm machine's probe (the clone carries
-// the pointer), so per-measure probing there needs a fresh warm phase.
+// restored machines inherit the probe of their warm key's first machine
+// (every frontier descends from it, and clones carry the pointer), so
+// per-measure probing there needs a fresh warm phase.
 func WithProbe(ctx context.Context, src func() core.Probe) context.Context {
 	env := envFrom(ctx)
 	env.probe = src
@@ -62,6 +63,16 @@ func WithProbe(ctx context.Context, src func() core.Probe) context.Context {
 // j.Benchmark only labels errors; p is what runs. Direct.Run is this over
 // the job's named workload, and dcasim runs assembly files through it.
 func RunProgram(ctx context.Context, j Job, p *prog.Program) (*stats.Run, error) {
+	m, err := warmMachine(ctx, j, p)
+	if err != nil {
+		return nil, err
+	}
+	return measure(m, j)
+}
+
+// warmMachine builds the job's machine over p and runs its warm phase:
+// RunProgram's first half, and Checkpointed's warm leader.
+func warmMachine(ctx context.Context, j Job, p *prog.Program) (*core.Machine, error) {
 	m, err := newMachine(ctx, j, p)
 	if err != nil {
 		return nil, err
@@ -69,7 +80,7 @@ func RunProgram(ctx context.Context, j Job, p *prog.Program) (*stats.Run, error)
 	if err := m.Warm(j.Warmup); err != nil {
 		return nil, runErr(j, err)
 	}
-	return measure(m, j)
+	return m, nil
 }
 
 // newMachine is the one place the run layer builds a machine: the job's

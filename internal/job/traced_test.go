@@ -330,10 +330,10 @@ func TestTracedComposesWithCheckpointed(t *testing.T) {
 		}
 	}
 	for _, j := range cpJobs(t) {
-		snap, err := cp.warm.Do(context.Background(), warmKey(j), defaultWarmLimit, func() (*core.Checkpoint, error) {
+		f, err := cp.warm.Do(context.Background(), warmKey(j), defaultWarmLimit, func() (*frontier, error) {
 			return nil, fmt.Errorf("warm key of %s/%s not kept", j.Scheme, j.Benchmark)
 		})
-		if err != nil || snap == nil {
+		if err != nil || f.cp == nil {
 			t.Errorf("%s/%s: replayed machine was not snapshotted (%v)", j.Scheme, j.Benchmark, err)
 		}
 	}

@@ -9,39 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
-// fig2 is the paper's running example; node numbers below refer to these
-// instruction indices.
-const fig2 = `
-.data
-A: .word 0, 0, 0, 0
-B: .word 8, 12, 20, 36
-C: .word 2, 1, 5, 6
-.text
-     addi r9, r0, 32    ; 0
-     addi r1, r0, 0     ; 1
-for: lui  r2, 1         ; 2
-     ori  r2, r2, 32    ; 3
-     add  r2, r2, r1    ; 4
-     ld   r3, 0(r2)     ; 5
-     lui  r4, 1         ; 6
-     ori  r4, r4, 64    ; 7
-     add  r4, r4, r1    ; 8
-     ld   r5, 0(r4)     ; 9
-     beq  r5, r0, l1    ; 10
-     div  r7, r3, r5    ; 11
-     j    l2            ; 12
-l1:  addi r7, r0, 0     ; 13
-l2:  lui  r8, 1         ; 14
-     add  r8, r8, r1    ; 15
-     st   r7, 0(r8)     ; 16
-     addi r1, r1, 8     ; 17
-     bne  r1, r9, for   ; 18
-     halt               ; 19
-`
-
+// mustFig2 loads the paper's running example (Figure 2); node numbers
+// below refer to its instruction indices.
 func mustFig2(t *testing.T) *prog.Program {
 	t.Helper()
-	p, err := asm.Assemble("fig2", fig2)
+	p, err := asm.AssembleFile("../../examples/testdata/fig2.s")
 	if err != nil {
 		t.Fatal(err)
 	}

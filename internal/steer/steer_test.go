@@ -65,39 +65,11 @@ func forcedFor(in isa.Inst) core.ClusterID {
 	return core.AnyCluster
 }
 
-// figure2Src is the paper's running example (Figure 2), written so each
-// significant instruction is easy to locate by label.
-const figure2Src = `
-.data
-A: .word 0, 0, 0, 0
-B: .word 8, 12, 20, 36
-C: .word 2, 1, 5, 6
-.text
-     addi r9, r0, 32    ; 0: N*8
-     addi r1, r0, 0     ; 1: i*8
-for: lui  r2, 1         ; 2: B base (0x10020)
-     ori  r2, r2, 32    ; 3
-     add  r2, r2, r1    ; 4: &B[i]
-     ld   r3, 0(r2)     ; 5: B[i]
-     lui  r4, 1         ; 6: C base (0x10040)
-     ori  r4, r4, 64    ; 7
-     add  r4, r4, r1    ; 8: &C[i]
-     ld   r5, 0(r4)     ; 9: C[i]
-     beq  r5, r0, l1    ; 10
-     div  r7, r3, r5    ; 11
-     j    l2            ; 12
-l1:  addi r7, r0, 0     ; 13
-l2:  lui  r8, 1         ; 14: A base (0x10000)
-     add  r8, r8, r1    ; 15: &A[i]
-     st   r7, 0(r8)     ; 16: A[i] =
-     addi r1, r1, 8     ; 17
-     bne  r1, r9, for   ; 18
-     halt               ; 19
-`
-
+// mustFig2 loads the paper's running example (Figure 2), whose comments
+// locate each significant instruction.
 func mustFig2(t *testing.T) *prog.Program {
 	t.Helper()
-	p, err := asm.Assemble("fig2", figure2Src)
+	p, err := asm.AssembleFile("../../examples/testdata/fig2.s")
 	if err != nil {
 		t.Fatal(err)
 	}
